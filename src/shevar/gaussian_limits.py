@@ -15,13 +15,17 @@ builds the Gaussian structures that govern its limits:
   variance path.
 
 Closed forms are used wherever the components are polynomial (pairing
-expansion); everything else falls back to an antithetic common-random-number
-Monte Carlo backend whose draws are a deterministic function of a master seed
-and the operation's arguments.
+expansion) or absolute powers ``|z|^p`` at any real p (Nabeya's absolute
+moments of a correlated normal pair, ``E|X|^p |Y|^q = m_p m_q
+2F1(-p/2, -q/2; 1/2; c^2)``).  Only the rest -- ``Custom`` components and
+non-polynomial multi-lag ones such as ``AbsMultipower((1, 1))`` -- falls back
+to an antithetic common-random-number Monte Carlo backend whose draws are a
+deterministic function of a master seed and the operation's arguments.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import warnings
@@ -336,7 +340,10 @@ class MonteCarlo:
     deterministically from the seed and a tag describing the operation, so
     repeated calls are reproducible and lag sweeps share draws.
     ``r_max_series`` caps the number of lag terms evaluated by MC inside
-    ``limit_covariance`` (closed-form components are unaffected).
+    ``limit_covariance``.  It applies only to what has no closed form
+    (``Custom`` and multi-lag non-polynomial components): polynomial
+    components and absolute powers ``|z|^p`` at any real p sum their lag
+    series exactly up to ``r_max``.
     """
 
     n_pairs: int = 200_000
@@ -461,15 +468,76 @@ def mu_f(f: EvaluationFunction, w, alpha: float | None = None,
 # ---------------------------------------------------------------------------
 
 
+# far-lag correlations satisfy |c| = |Gamma_r| <= 0.3, where the Gauss series
+# below needs about 15 terms; the cap only guards against |c| close to 1
+_NABEYA_MAX_TERMS = 1000
+
+
+def _nabeya_series(p: float, q: float, z, absolute: bool = False):
+    """``sum_{j>=1} a_j z^(j-1)`` for ``0 <= z < 1``, where ``sum_{j>=1} a_j z^j
+    = m_p m_q (2F1(-p/2, -q/2; 1/2; z) - 1)`` is the Gauss series without its
+    leading 1.  With ``absolute`` the coefficients enter as ``|a_j|``.
+
+    The series terminates when p or q is an even integer.
+    """
+    z = np.asarray(z, dtype=float)
+    a, b = -p / 2.0, -q / 2.0
+    coef = abs_moment(p) * abs_moment(q)
+    power = np.ones(z.shape)
+    total = np.zeros(z.shape)
+    for j in range(_NABEYA_MAX_TERMS):
+        coef *= (a + j) * (b + j) / ((0.5 + j) * (j + 1.0))
+        term = (abs(coef) if absolute else coef) * power
+        total += term
+        if not np.any(np.abs(term) > 1e-17 * np.abs(total)):
+            return total
+        power = power * z
+    raise ArithmeticError(f"Nabeya series did not converge at z = {np.max(z):.6g}")
+
+
+def _abs_power_rho(p: float, q: float, c):
+    """``Cov(|X|^p, |Y|^q)`` for standard normals X, Y with correlation c.
+
+    Nabeya (1951): ``E|X|^p |Y|^q = m_p m_q 2F1(-p/2, -q/2; 1/2; c^2)``.  The
+    covariance is summed as the Gauss series from its first term, so the
+    tiny ``c^2`` of far lags keeps full relative precision instead of
+    cancelling against the leading 1.  ``|c| = 1`` gives
+    ``m_(p+q) - m_p m_q`` (Gauss's summation theorem).  Vectorised over c.
+    """
+    z = np.square(np.asarray(c, dtype=float))
+    unit = z >= 1.0
+    out = z * _nabeya_series(p, q, np.where(unit, 0.0, z))
+    out = np.where(unit, abs_moment(p + q) - abs_moment(p) * abs_moment(q), out)
+    return float(out) if out.ndim == 0 else out
+
+
+def _abs_power_lag(comp):
+    """(p, l) when the component is ``|z_l|^p`` for a single lag l, else None."""
+    if isinstance(comp, AbsPower):
+        return comp.p, comp.l
+    if isinstance(comp, AbsMultipower):
+        used = [(e, l) for l, e in enumerate(comp.exponents) if e]
+        if len(used) == 1:
+            return used[0]
+    return None
+
+
 def _rho_closed(f, m1, m2, r, w, alpha):
-    """Exact Cov(f_m1(Z1), f_m2(Z2)) for polynomial components, else None."""
+    """Exact Cov(f_m1(Z1), f_m2(Z2)) for polynomial components and for
+    absolute powers, else None."""
     c1 = f.components[m1]
     mono1, mono2 = f._row_monomial(m1), f._row_monomial(m2)
-    if mono1 is None or mono2 is None:
+    polynomial = mono1 is not None and mono2 is not None
+    pl1, pl2 = _abs_power_lag(c1), _abs_power_lag(f.components[m2])
+    if not polynomial and (pl1 is None or pl2 is None):
         return None
     wk = w[c1.k]
     if wk == 0.0:
         return 0.0
+    if not polynomial:
+        (p, l1), (q, l2) = pl1, pl2
+        c = float(gamma_r(alpha, abs(r + l1 - l2)))
+        return wk ** ((p + q) / 2.0) * _abs_power_rho(p, q, c)
     ell = f.n_lags
     within = _within_row_cov(ell, alpha, wk)
     if r == 0:
@@ -483,40 +551,23 @@ def _rho_closed(f, m1, m2, r, w, alpha):
     return joint - monomial_moment(within, mono1) * monomial_moment(within, mono2)
 
 
-def rho(f: EvaluationFunction, m1: int, m2: int, r: int, w,
-        alpha: float, method: str = "auto", mc: MonteCarlo | None = None,
-        return_se: bool = False):
-    """Lag-r covariance ``Cov(f_m1(Z^(1)), f_m2(Z^(2)))``.
+def _rho_mc_draws(f: EvaluationFunction, mc: MonteCarlo) -> np.ndarray:
+    """Base draws of the rho backend, padded to the joint-window dimension.
 
-    Identically zero when the two components live on different spatial rows.
-    ``r = 0`` is the single-window covariance.  Exact pairing expansion for
-    polynomial components, antithetic CRN Monte Carlo otherwise.
+    The tag excludes r and w: common random numbers across lag and variance
+    sweeps.
     """
-    mc = mc or MonteCarlo()
-    w = _check_w(w, f.n_points)
-    if r < 0 or r != int(r):
-        raise ValueError("lag r must be a nonnegative integer")
-    r = int(r)
-    if f.components[m1].k != f.components[m2].k:
-        return (0.0, 0.0) if return_se else 0.0
+    tag = f"rho:{f.n_points}x{f.n_lags}:{mc.n_pairs}"
+    return _mc_base_draws(mc, tag, 2 * f.n_points * f.n_lags)
 
-    if method != "mc":
-        closed = _rho_closed(f, m1, m2, r, w, alpha)
-        if closed is not None:
-            return (closed, 0.0) if return_se else closed
-        if method == "closed":
-            raise ValueError("no closed form for this component pair")
 
+def _rho_mc_products(f, m1, m2, r, w, alpha, base) -> np.ndarray:
+    """Per-draw centred products; their sum over ``n - 1`` estimates rho(r)."""
     if r == 0:
         block = build_within_cov(f, w, alpha)
     else:
         block = build_joint_cov(f, w, r, alpha)
     chol = block.cholesky()
-    # base draws exclude r and w from the tag: common random numbers across
-    # lag and variance sweeps (the dimension is padded to the joint size)
-    tag = f"rho:{f.n_points}x{f.n_lags}:{mc.n_pairs}"
-    dim = 2 * f.n_points * f.n_lags
-    base = _mc_base_draws(mc, tag, dim)
     kl = f.n_points * f.n_lags
     if r == 0:
         z = base[:, :kl] @ chol.T
@@ -533,8 +584,37 @@ def rho(f: EvaluationFunction, m1: int, m2: int, r: int, w,
     b_pos, b_neg = c2.evaluate(z2), c2.evaluate(-z2)
     mean_a = 0.5 * float(np.mean(a_pos) + np.mean(a_neg))
     mean_b = 0.5 * float(np.mean(b_pos) + np.mean(b_neg))
-    prod = 0.5 * ((a_pos - mean_a) * (b_pos - mean_b)
+    return 0.5 * ((a_pos - mean_a) * (b_pos - mean_b)
                   + (a_neg - mean_a) * (b_neg - mean_b))
+
+
+def rho(f: EvaluationFunction, m1: int, m2: int, r: int, w,
+        alpha: float, method: str = "auto", mc: MonteCarlo | None = None,
+        return_se: bool = False):
+    """Lag-r covariance ``Cov(f_m1(Z^(1)), f_m2(Z^(2)))``.
+
+    Identically zero when the two components live on different spatial rows.
+    ``r = 0`` is the single-window covariance.  Exact for polynomial
+    components (pairing expansion) and for absolute powers ``|z|^p`` at any
+    real p (Nabeya's closed form); antithetic CRN Monte Carlo covers only
+    the rest (``Custom`` and multi-lag non-polynomial components).
+    """
+    mc = mc or MonteCarlo()
+    w = _check_w(w, f.n_points)
+    if r < 0 or r != int(r):
+        raise ValueError("lag r must be a nonnegative integer")
+    r = int(r)
+    if f.components[m1].k != f.components[m2].k:
+        return (0.0, 0.0) if return_se else 0.0
+
+    if method != "mc":
+        closed = _rho_closed(f, m1, m2, r, w, alpha)
+        if closed is not None:
+            return (closed, 0.0) if return_se else closed
+        if method == "closed":
+            raise ValueError("no closed form for this component pair")
+
+    prod = _rho_mc_products(f, m1, m2, r, w, alpha, _rho_mc_draws(f, mc))
     n = prod.shape[0]
     value = float(np.sum(prod) / (n - 1))
     se = float(np.std(prod, ddof=1) / math.sqrt(n))
@@ -703,27 +783,15 @@ def limit_covariance(f: EvaluationFunction, s_grid, w_path, t_grid, alpha: float
 
 
 def _series_coefficient(f, m1, m2, unit_w, alpha, r_max, mc):
-    """rho(0) + sum_{r=1}^{r_max} [rho12(r) + rho21(r)] at unit variance."""
+    """rho(0) + sum_{r=1}^{r_max} [rho12(r) + rho21(r)] at unit variance.
+
+    Returns (value, tail bound, MC standard error, lags used).
+    """
     mono1, mono2 = f._row_monomial(m1), f._row_monomial(m2)
     polynomial = mono1 is not None and mono2 is not None
 
     if polynomial and f.n_lags == 1:
-        p1, p2 = sum(mono1), sum(mono2)
-        coeffs = pair_moment_coeffs(p1, p2)
-        gam = np.atleast_1d(gamma_r(alpha, np.arange(1, r_max + 1)))
-        # rho(c) = sum_{j>=1} a_j c^j (the j = 0 term is the product of means)
-        powers = np.vstack([gam ** j for j in range(len(coeffs))])
-        rho_r = coeffs[1:] @ powers[1:]
-        rho0 = float(np.polynomial.polynomial.polyval(1.0, coeffs) - coeffs[0])
-        total = rho0 + 2.0 * float(np.sum(rho_r))
-        gam_last = abs(float(gamma_r(alpha, r_max)))
-        # |rho(c)| <= |a_1||c| + (|a_2| + |a_3||c| + ...) c^2; a_1 = 0 for even pairs
-        bound_sq = sum(abs(coeffs[j]) * gam_last ** (j - 2)
-                       for j in range(2, len(coeffs)))
-        tail_val = 2.0 * bound_sq * gamma_sq_tail_bound(alpha, r_max)
-        if len(coeffs) > 1 and coeffs[1]:
-            tail_val += 2.0 * abs(coeffs[1]) * gamma_abs_tail_bound(alpha, r_max)
-        return total, tail_val, 0.0, r_max
+        return _pairing_series(sum(mono1), sum(mono2), alpha, r_max)
 
     if polynomial:
         total = rho(f, m1, m2, 0, unit_w, alpha)
@@ -737,22 +805,77 @@ def _series_coefficient(f, m1, m2, unit_w, alpha, r_max, mc):
                 last_ratio = max(last_ratio, abs(v12 + v21) / g2)
         return total, last_ratio * gamma_sq_tail_bound(alpha, r_max), 0.0, r_max
 
-    # Monte Carlo pair: truncate the lag series early; CRN keeps the sweep smooth
+    pl1, pl2 = _abs_power_lag(f.components[m1]), _abs_power_lag(f.components[m2])
+    if pl1 is not None and pl2 is not None:
+        return _abs_power_series(*pl1, *pl2, alpha, r_max)
+
+    # Monte Carlo pair: truncate the lag series early.  The lag sum is formed
+    # draw by draw, so its standard error includes the correlation that the
+    # common random numbers induce between lags.
     r_stop = min(r_max, mc.r_max_series)
-    total, se0 = rho(f, m1, m2, 0, unit_w, alpha, method="mc", mc=mc, return_se=True)
-    var_acc = se0 ** 2
+    base = _rho_mc_draws(f, mc)
+    n = base.shape[0]
+    acc = _rho_mc_products(f, m1, m2, 0, unit_w, alpha, base)
     ratio = 0.0
     for r in range(1, r_stop + 1):
-        v12, se12 = rho(f, m1, m2, r, unit_w, alpha, method="mc", mc=mc, return_se=True)
+        prod = _rho_mc_products(f, m1, m2, r, unit_w, alpha, base)
         if m1 == m2:
-            v21, se21 = v12, se12
+            prod = 2.0 * prod
         else:
-            v21, se21 = rho(f, m2, m1, r, unit_w, alpha, method="mc", mc=mc,
-                            return_se=True)
-        total += v12 + v21
-        var_acc += se12 ** 2 + se21 ** 2
+            prod = prod + _rho_mc_products(f, m2, m1, r, unit_w, alpha, base)
+        acc += prod
         g2 = float(gamma_r(alpha, r)) ** 2
         if g2 > 0 and r > r_stop - 16:
-            ratio = max(ratio, abs(v12 + v21) / g2)
-    tail_val = ratio * gamma_sq_tail_bound(alpha, r_stop)
-    return total, tail_val, math.sqrt(var_acc), r_stop
+            ratio = max(ratio, abs(float(np.sum(prod)) / (n - 1)) / g2)
+    total = float(np.sum(acc) / (n - 1))
+    se = float(np.std(acc, ddof=1) / math.sqrt(n))
+    if mc.tol is not None and se > mc.tol:
+        warnings.warn(
+            f"series coefficient ({m1},{m2}): MC standard error {se:.2e} "
+            f"exceeds tolerance {mc.tol:.2e}", stacklevel=3,
+        )
+    return total, ratio * gamma_sq_tail_bound(alpha, r_stop), se, r_stop
+
+
+# The plug-in interval of the integrated variance asks for the same p = 2
+# coefficient once per replicate, so the pairing branch is memoised.
+
+
+@functools.lru_cache(maxsize=64)
+def _pairing_series(p1: int, p2: int, alpha: float, r_max: int):
+    """Series coefficient of single-lag monomials of degrees p1, p2."""
+    coeffs = pair_moment_coeffs(p1, p2)
+    gam = np.atleast_1d(gamma_r(alpha, np.arange(1, r_max + 1)))
+    # rho(c) = sum_{j>=1} a_j c^j (the j = 0 term is the product of means)
+    powers = np.vstack([gam ** j for j in range(len(coeffs))])
+    rho_r = coeffs[1:] @ powers[1:]
+    rho0 = float(np.polynomial.polynomial.polyval(1.0, coeffs) - coeffs[0])
+    total = rho0 + 2.0 * float(np.sum(rho_r))
+    gam_last = abs(float(gamma_r(alpha, r_max)))
+    # |rho(c)| <= |a_1||c| + (|a_2| + |a_3||c| + ...) c^2; a_1 = 0 for even pairs
+    bound_sq = sum(abs(coeffs[j]) * gam_last ** (j - 2)
+                   for j in range(2, len(coeffs)))
+    tail_val = 2.0 * bound_sq * gamma_sq_tail_bound(alpha, r_max)
+    if len(coeffs) > 1 and coeffs[1]:
+        tail_val += 2.0 * abs(coeffs[1]) * gamma_abs_tail_bound(alpha, r_max)
+    return total, tail_val, 0.0, r_max
+
+
+def _abs_power_series(p: float, l1: int, q: float, l2: int, alpha: float, r_max: int):
+    """Series coefficient of ``|z_l1|^p`` against ``|z_l2|^q`` (Nabeya closed form).
+
+    Window shift r correlates the two increments by ``Gamma_|r + l1 - l2|``
+    (and ``Gamma_|r + l2 - l1|`` for the swapped pair).  Beyond ``r_max``
+    every correlation is at most ``|Gamma_(r_max - d)|`` with
+    ``d = |l1 - l2|``, and ``|rho(c)| <= c^2 sum_j |a_j| c^(2j-2)``, so the
+    tail is bounded through ``gamma_sq_tail_bound``.
+    """
+    d = abs(l1 - l2)
+    gam = np.atleast_1d(gamma_r(alpha, np.arange(r_max + d + 1)))
+    r = np.arange(1, r_max + 1)
+    rho_minus = _abs_power_rho(p, q, gam[np.abs(r - d)])
+    rho_plus = rho_minus if d == 0 else _abs_power_rho(p, q, gam[r + d])
+    total = _abs_power_rho(p, q, gam[d]) + float(np.sum(rho_minus) + np.sum(rho_plus))
+    r_tail = r_max - d
+    bound_sq = float(_nabeya_series(p, q, gam[r_tail] ** 2, absolute=True))
+    return total, 2.0 * bound_sq * gamma_sq_tail_bound(alpha, r_tail), 0.0, r_max

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import hyp2f1
 
 from shevar.gaussian_limits import (
     AbsMultipower,
@@ -12,6 +13,7 @@ from shevar.gaussian_limits import (
     EvaluationFunction,
     MonteCarlo,
     SignedMonomial,
+    _abs_power_rho,
     build_joint_cov,
     build_within_cov,
     limit_covariance,
@@ -23,6 +25,27 @@ from shevar.kernels import abs_moment, gamma_r, sum_gamma_sq
 from shevar.wick import gaussian_moment, monomial_moment, pair_moment_coeffs
 
 QUICK_MC = MonteCarlo(n_pairs=60_000)
+
+
+def _custom_abs_power(p):
+    """|z|^p as a Custom component, so that only the MC backend can serve it."""
+    return Custom(fn=lambda w: np.abs(w[..., 0, 0]) ** p, even=True, degree=p,
+                  homogeneous=True)
+
+
+def _unit_series(f, alpha, **kwargs):
+    """C(1) at unit variance: the series coefficient with its law."""
+    law = limit_covariance(f, np.array([0.0, 1.0]), np.ones((2, 1)),
+                           np.array([1.0]), alpha=alpha, **kwargs)
+    return law.c_path[0, 0, 0], law
+
+
+def _nabeya_direct(alpha, p, r_max):
+    """rho(0) + 2 sum_{r=1}^{r_max} rho(Gamma_r) for |z|^p with scipy's 2F1."""
+    m2 = abs_moment(p) ** 2
+    g = np.asarray(gamma_r(alpha, np.arange(1, r_max + 1)))
+    lags = m2 * (hyp2f1(-p / 2, -p / 2, 0.5, g * g) - 1.0)
+    return m2 * (hyp2f1(-p / 2, -p / 2, 0.5, 1.0) - 1.0) + 2.0 * math.fsum(lags.tolist())
 
 
 class TestWick:
@@ -246,6 +269,21 @@ class TestRho:
         f = EvaluationFunction.abs_power(2.0)
         assert rho(f, 0, 0, 1, [0.0], alpha=0.5) == 0.0
 
+    @pytest.mark.parametrize("p,q", [(2, 2), (4, 4), (2, 4)])
+    def test_nabeya_matches_pairing_for_even_powers(self, p, q):
+        coeffs = pair_moment_coeffs(p, q)
+        for c in (-0.9, -0.3, 1e-6, 0.25, 0.7, 1.0):
+            pairing = float(np.polynomial.polynomial.polyval(c, coeffs)) - coeffs[0]
+            assert _abs_power_rho(p, q, c) == pytest.approx(pairing, rel=1e-13)
+
+    @pytest.mark.parametrize("r", [0, 1, 5])
+    def test_abs_power_auto_agrees_with_mc(self, r):
+        f = EvaluationFunction.abs_power(1.0)
+        exact = rho(f, 0, 0, r, [1.0], alpha=0.5)
+        est, se = rho(f, 0, 0, r, [1.0], alpha=0.5, method="mc", mc=QUICK_MC,
+                      return_se=True)
+        assert abs(est - exact) < 4.0 * se
+
 
 class TestLimitPaths:
     def test_lln_constant_w(self):
@@ -324,8 +362,8 @@ class TestLimitPaths:
         assert cont <= law.tail_bound[0, 0]
 
     def test_mc_series_path(self):
-        # non-polynomial component exercises the CRN Monte Carlo series
-        f = EvaluationFunction.abs_power(1.0)
+        # a Custom component has no closed form: CRN Monte Carlo series
+        f = EvaluationFunction([_custom_abs_power(1.5)])
         s = np.array([0.0, 1.0])
         w = np.ones((2, 1))
         mc = MonteCarlo(n_pairs=30_000, r_max_series=16)
@@ -333,3 +371,60 @@ class TestLimitPaths:
         assert law.c_path[0, 0, 0] > 0
         assert law.mc_se[0, 0] > 0
         assert law.r_max == 16
+
+
+class TestAbsPowerSeries:
+    """Nabeya closed-form lag series for |z|^p with p not an even integer."""
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+    def test_matches_direct_hyp2f1_sum(self, p, alpha):
+        f = EvaluationFunction.abs_power(p)
+        direct = _nabeya_direct(alpha, p, 10 ** 6)
+        long, law = _unit_series(f, alpha, r_max=10 ** 6)
+        assert long == pytest.approx(direct, rel=1e-8)
+        assert law.mc_se[0, 0] == 0.0
+        default, law = _unit_series(f, alpha)
+        assert abs(default - direct) <= law.tail_bound[0, 0]
+        assert law.mc_se[0, 0] == 0.0
+
+    def test_pinned_value(self):
+        value, _ = _unit_series(EvaluationFunction.abs_power(1.0), 0.5)
+        assert value == pytest.approx(0.3816059, abs=1e-7)
+
+    def test_cross_lag_pair(self):
+        # |z_0|^1.5 against |z_1|^3: rho follows the joint-window correlation
+        # (checked by MC), and the series sums rho12(r) + rho21(r) over r
+        f = EvaluationFunction([AbsPower(1.5, l=0), AbsPower(3.0, l=1)], n_lags=2)
+        for r in (0, 1, 2):
+            exact = rho(f, 0, 1, r, [1.0], alpha=0.5)
+            est, se = rho(f, 0, 1, r, [1.0], alpha=0.5, method="mc", mc=QUICK_MC,
+                          return_se=True)
+            assert abs(est - exact) < 4.0 * se
+        r_max = 50
+        by_lag = rho(f, 0, 1, 0, [1.0], alpha=0.5) + sum(
+            rho(f, 0, 1, r, [1.0], alpha=0.5) + rho(f, 1, 0, r, [1.0], alpha=0.5)
+            for r in range(1, r_max + 1))
+        _, law = _unit_series(f, 0.5, r_max=r_max)
+        assert law.c_path[0, 0, 1] == pytest.approx(by_lag, rel=1e-13)
+        assert law.mc_se[0, 1] == 0.0
+
+    def test_single_lag_multipower_is_closed_form(self):
+        single, _ = _unit_series(EvaluationFunction.abs_power(1.5), 0.5)
+        multi, law = _unit_series(
+            EvaluationFunction([AbsMultipower((0.0, 1.5))], n_lags=2), 0.5)
+        assert multi == pytest.approx(single, rel=1e-14)
+        assert law.mc_se[0, 0] == 0.0
+
+    def test_mc_standard_error_matches_spread(self):
+        # the CRN lag sum is formed draw by draw, so its reported SE must
+        # describe the scatter of the coefficient across seeds
+        f = EvaluationFunction([_custom_abs_power(1.5)])
+        values, ses = [], []
+        for seed in range(20):
+            mc = MonteCarlo(n_pairs=20_000, r_max_series=16, seed=seed)
+            value, law = _unit_series(f, 0.5, mc=mc)
+            values.append(value)
+            ses.append(law.mc_se[0, 0])
+        ratio = np.std(values, ddof=1) / np.mean(ses)
+        assert 1.0 / 1.5 <= ratio <= 1.5

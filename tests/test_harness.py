@@ -3,12 +3,14 @@
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
 from shevar.cli import main as cli_main
+from shevar.gaussian_limits import EvaluationFunction, limit_covariance
 from shevar.harness import (
     Config,
     ConfigError,
@@ -21,6 +23,10 @@ from shevar.harness import (
     run_experiment,
     verify_report,
 )
+from shevar.inference import estimate_sigma0, spot_variance
+from shevar.kernels import NoiseParams, tau_n
+from shevar.simulate import RngStream, simulate_stationary_increments_batch
+from shevar.variations import SamplingDesign
 
 
 class TestConfig:
@@ -142,6 +148,29 @@ class TestRunners:
         rep = run_experiment(cfg)
         assert rep.passed
         assert rep.summary["ks_pvalue"] > 0.01
+
+    def test_clt_exact_abs_power_one(self):
+        # p = 1 is studentised by the Nabeya series; the gates are the defaults
+        cfg = default_config("clt").replace(**{
+            "driver": "exact", "model.alpha": 0.5, "functional.p": 1.0,
+            "design.n": 2 ** 12, "replicates": 400})
+        rep = run_experiment(cfg)
+        assert rep.passed, rep.summary
+
+    def test_estimate_sigma0_abs_power_one(self):
+        alpha, n = 0.5, 2 ** 12
+        design = SamplingDesign(delta_n=1.0 / n, horizon=1.0)
+        scale = tau_n(NoiseParams(alpha, 1), design.delta_n)
+        z = simulate_stationary_increments_batch(alpha, n, [RngStream(31, 0)])[0]
+        u = np.concatenate([[0.0], np.cumsum(scale * z)])
+        t0 = time.perf_counter()
+        rep = estimate_sigma0(1.0, u, design, alpha, force_unit_denominator=True)
+        assert time.perf_counter() - t0 < 1.0
+        unit = limit_covariance(EvaluationFunction.abs_power(1.0), np.array([0.0, 1.0]),
+                                np.ones((2, 1)), np.array([1.0]), alpha)
+        w_hat = spot_variance(np.diff(u) / scale, delta_n=design.delta_n)
+        expected = unit.c_path[0, 0, 0] * design.delta_n * float(np.sum(w_hat))
+        assert rep.diagnostics["plugin_variance"] == pytest.approx(expected, rel=1e-12)
 
     def test_clt_rejects_alpha_one(self):
         cfg = default_config("clt").replace(**{"model.alpha": 1.0})

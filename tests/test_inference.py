@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from shevar.gaussian_limits import _pairing_series
 from shevar.inference import (
     DegeneratePath,
     EstimateReport,
@@ -187,6 +188,18 @@ class TestIntegratedVarianceInterval:
             rep = integrated_variance_interval(u, design, alpha=0.5)
             hits += int(rep.ci_low <= 1.0 <= rep.ci_high)
         assert hits / n_rep > 0.85
+
+    def test_unit_series_computed_once(self):
+        # the path-free series coefficient is shared by every replicate
+        u, design = additive_path(0.5, 2 ** 10, stream=400)
+        integrated_variance_interval(u, design, alpha=0.5)
+        before = _pairing_series.cache_info()
+        for stream in (401, 402):
+            u, design = additive_path(0.5, 2 ** 10, stream=stream)
+            integrated_variance_interval(u, design, alpha=0.5)
+        after = _pairing_series.cache_info()
+        assert after.misses == before.misses
+        assert after.hits == before.hits + 2
 
 
 def test_report_rejects_inconsistent_interval():

@@ -40,7 +40,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="output directory for report.json / replicates.csv")
         sp.add_argument("--replicates", type=int, help="replicate count (overrides config)")
         sp.add_argument("--threads", type=int,
-                        help="worker threads for FFT batches (results are unaffected)")
+                        help="worker threads for FFT batches and random draws "
+                             "(results are unaffected)")
         sp.add_argument("--verify-report", metavar="FILE",
                         help="re-run the embedded config of a stored report and compare")
     return parser

@@ -26,7 +26,10 @@ rather than the continuum constant when the mode count is finite.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.fft as sfft
@@ -491,6 +494,15 @@ def _observation_weights(points, n_modes):
     return None, wmat
 
 
+def _thread_count(workers) -> int:
+    """``workers`` when positive, else every core this process may run on."""
+    if workers is not None and workers > 0:
+        return int(workers)
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def simulate_spde_batch(model: ModelSpec, design: SamplingDesign, streams,
                         dtype=np.float32, blowup_cap: float = 1e6,
                         workers: int | None = None) -> SpdeBatch:
@@ -501,6 +513,10 @@ def simulate_spde_batch(model: ModelSpec, design: SamplingDesign, streams,
     is advanced in Fourier space: semigroup multiplication, then injection of
     the damped, sigma-modulated spectral noise increment (transform, multiply,
     transform).  Values are recorded at observation times in float64.
+
+    ``workers`` threads run the FFT batches and the random draws (each
+    thread fills its own block of streams); None uses every core this
+    process may run on.  The thread count never changes the values.
     """
     if model.noise.dim != 1:
         raise ValueError("the spectral scheme is implemented for dim = 1 only")
@@ -515,6 +531,7 @@ def simulate_spde_batch(model: ModelSpec, design: SamplingDesign, streams,
     n_micro = n_obs * over
     gens = [_as_generator(s) for s in streams]
     n_rep = len(gens)
+    workers = _thread_count(workers)
 
     lam = 2.0 * math.pi ** 2 * np.arange(kk + 1, dtype=float) ** 2
     semigroup = np.exp(-lam * delta).astype(dtype)
@@ -548,36 +565,41 @@ def simulate_spde_batch(model: ModelSpec, design: SamplingDesign, streams,
 
     # chunked noise pre-generation: cap the spectral scratch at ~50 MB
     chunk = max(1, min(_NOISE_CHUNK, int(6e6 / max(1, n_rep * (kk + 1)))))
+    blocks = np.array_split(np.arange(n_rep), min(workers, max(1, n_rep)))
+
+    def draw(raw, block):
+        for b in block:
+            gens[b].standard_normal(raw[b].shape, dtype=dtype, out=raw[b])
+
     step = 0
-    while step < n_micro:
-        cl = min(chunk, n_micro - step)
-        spec = np.empty((n_rep, cl, kk + 1), dtype=cplx)
-        for b, gen in enumerate(gens):
-            raw = gen.standard_normal((cl, 2 * (kk + 1)), dtype=dtype)
-            spec[b] = raw.view(cplx)
-        spec *= spec_scale
-        spec[..., 0] = spec[..., 0].real
-        spec[..., kk] = spec[..., kk].real
-        if not sigma_const:
-            noise = sfft.irfft(spec.reshape(n_rep * cl, kk + 1), n=n, axis=-1,
-                               workers=workers).reshape(n_rep, cl, n)
-        for j in range(cl):
-            if sigma_const:
-                # sigma(u) is a scalar: inject the noise directly in Fourier
-                what = sigma_fn(None) * spec[:, j]
-            else:
-                w = sigma_fn(u_phys) * noise[:, j]
-                what = sfft.rfft(w, axis=-1, workers=workers)
-            np.multiply(uhat, semigroup, out=uhat)
-            what *= damp
-            uhat += what
-            g = step + j + 1
-            if g % over == 0:
-                u_phys = sfft.irfft(uhat, n=n, axis=-1, workers=workers)
-                record(g // over, u_phys, uhat)
-            elif not sigma_const:
-                u_phys = sfft.irfft(uhat, n=n, axis=-1, workers=workers)
-        step += cl
+    with ThreadPoolExecutor(len(blocks)) as pool:
+        while step < n_micro:
+            cl = min(chunk, n_micro - step)
+            spec = np.empty((n_rep, cl, kk + 1), dtype=cplx)
+            list(pool.map(partial(draw, spec.view(dtype)), blocks))
+            spec *= spec_scale
+            spec[..., 0] = spec[..., 0].real
+            spec[..., kk] = spec[..., kk].real
+            for j in range(cl):
+                if sigma_const:
+                    # sigma(u) is a scalar: inject the noise directly in Fourier
+                    what = sigma_fn(None) * spec[:, j]
+                else:
+                    # one micro-step's field at a time stays in cache; a
+                    # whole chunk's would round-trip through memory
+                    noise = sfft.irfft(spec[:, j], n=n, axis=-1, workers=workers)
+                    w = sigma_fn(u_phys) * noise
+                    what = sfft.rfft(w, axis=-1, workers=workers)
+                np.multiply(uhat, semigroup, out=uhat)
+                what *= damp
+                uhat += what
+                g = step + j + 1
+                if g % over == 0:
+                    u_phys = sfft.irfft(uhat, n=n, axis=-1, workers=workers)
+                    record(g // over, u_phys, uhat)
+                elif not sigma_const:
+                    u_phys = sfft.irfft(uhat, n=n, axis=-1, workers=workers)
+            step += cl
 
     meta = {
         "scheme": "spectral exponential Euler",

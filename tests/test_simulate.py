@@ -282,6 +282,18 @@ class TestSpdeScheme:
         b = simulate_spde(model, des, RngStream(12), workers=2)
         assert np.array_equal(a.values, b.values)
 
+    @pytest.mark.parametrize("sigma", [SigmaLinear(0.5), SigmaConstant(1.0)])
+    def test_threads_do_not_change_batch(self, sigma):
+        # the draws of a batch are split over threads by blocks of streams
+        model = ModelSpec(noise=NoiseParams(0.5, 1), sigma=sigma,
+                          u0=U0Constant(1.0))
+        des = self.design(horizon=0.01 / 8)
+        streams = [RngStream(13, i) for i in range(7)]
+        one = simulate_spde_batch(model, des, streams, workers=1).values
+        for workers in (2, 3, 8, None):
+            many = simulate_spde_batch(model, des, streams, workers=workers).values
+            assert np.array_equal(one, many)
+
     def test_self_convergence_in_oversampling(self):
         """Halving the micro-step moves V^n_2 by less than the MC error."""
         n_rep = 160

@@ -56,7 +56,6 @@ from .simulate import (
     SigmaConstant,
     SigmaCustom,
     SigmaLinear,
-    SpdeBatch,
     U0Constant,
     U0SmoothPeriodic,
     moment_scaling_check,

@@ -301,6 +301,13 @@ def _coerce(key: str, value):
     raise ConfigError(f"{key} expects {want.__name__}, got {value!r}")
 
 
+_CHOICES = {
+    "driver": ("exact", "spde"),
+    "clt.normalization": ("scheme", "continuum"),
+    "estimate.estimator": ("sigma0", "coverage", "alpha"),
+}
+
+
 def _validate(data: dict) -> dict:
     out = {}
     for key, value in data.items():
@@ -310,6 +317,18 @@ def _validate(data: dict) -> dict:
     kind = out.get("experiment")
     if kind not in EXPERIMENTS:
         raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {kind!r}")
+    for key, allowed in _CHOICES.items():
+        if key in out and out[key] not in allowed:
+            raise ConfigError(f"{key} must be one of {allowed}, got {out[key]!r}")
+    driver = out.get("driver")
+    if driver == "spde" and (kind == "lln" or (
+            kind == "estimate" and out.get("estimate.estimator") != "sigma0")):
+        raise ConfigError("lln and the coverage and alpha estimators run on "
+                          "driver = exact only")
+    if (driver == "exact" and kind in ("lln", "clt", "estimate", "simulate")
+            and out.get("model.sigma.kind", "constant") != "constant"):
+        raise ConfigError("driver = exact samples additive noise: it needs "
+                          "model.sigma.kind = constant")
     return out
 
 
@@ -534,13 +553,30 @@ def _streams(cfg: Config, count: int | None = None, salt: int = 0):
     return [RngStream(cfg["seed"], salt * 1_000_000 + i) for i in range(n)]
 
 
-def _series_factor(alpha: float, p: float, r_max: int = 10_000,
-                   mc: MonteCarlo | None = None) -> float:
+def _series_factor(alpha: float, p: float) -> float:
     """Limit-variance series coefficient for f = |z|^p at unit variance."""
     f = EvaluationFunction.abs_power(p)
     law = limit_covariance(f, np.array([0.0, 1.0]), np.ones((2, 1)),
-                           np.array([1.0]), alpha, r_max=r_max, mc=mc)
+                           np.array([1.0]), alpha)
     return float(law.c_path[0, 0, 0])
+
+
+def _sample_paths(model: ModelSpec, design: SamplingDesign, driver: str, streams,
+                  workers: int | None = None) -> PathPanel:
+    """Replicate stack of paths on ``design``, one per stream, burn-in still in.
+
+    ``spde`` runs the torus scheme.  ``exact`` cumulates exact stationary
+    increments from u = 0 at one point, scaled by the constant coefficient
+    times ``tau_n``; it has no burn-in.
+    """
+    if driver == "spde":
+        return simulate_spde_batch(model, design, streams, workers=workers)
+    alpha = model.noise.alpha
+    scale = model.sigma(None) * tau_n(NoiseParams(alpha, 1), design.delta_n)
+    z = simulate_stationary_increments_batch(alpha, design.n_steps, streams)
+    u = np.concatenate([np.zeros((len(z), 1)), np.cumsum(scale * z, axis=1)], axis=1)
+    return PathPanel(times=design.times(), points=design.points[:1],
+                     values=u[:, :, None], meta={"driver": "exact", "alpha": alpha})
 
 
 # ---------------------------------------------------------------------------
@@ -686,46 +722,23 @@ def run_clt(cfg: Config, workers: int | None = None) -> ExperimentReport:
     p = cfg["functional.p"]
     n_rep = cfg["replicates"]
     driver = cfg["driver"]
-    f = EvaluationFunction.abs_power(p)
-    if not f.is_even:
-        raise ValueError("CLT evaluation functions must be even")
     s_factor = _series_factor(alpha, p)
     m_p = abs_moment(p)
-    rows = []
+    design = _design_from(cfg)
+    delta, n = design.delta_n, design.n_steps
+    half = n // 2
 
     if driver == "exact":
-        n = cfg["design.n"]
-        horizon = cfg["design.horizon"]
-        delta = horizon / n
         z = simulate_stationary_increments_batch(alpha, n, _streams(cfg, n_rep))
-        half = n // 2
-        ap = np.abs(z) ** p
-        v_half = delta * np.sum(ap[:, :half], axis=1)
-        v_full = delta * np.sum(ap, axis=1)
-        c_half = s_factor * (half * delta)
-        c_full = s_factor * horizon
-        stat_half = (v_half - m_p * half * delta) / math.sqrt(delta)
-        stat_full = (v_full - m_p * horizon) / math.sqrt(delta)
-        studentized = stat_full / math.sqrt(c_full)
-        for i in range(n_rep):
-            rows.append({
-                "replicate": i, "v_n": float(v_full[i]),
-                "stat": float(stat_full[i]), "studentized": float(studentized[i]),
-                "stat_first_half": float(stat_half[i]),
-                "stat_second_half": float(stat_full[i] - stat_half[i]),
-                "c_plug": float(c_full),
-            })
-        var_ratio = float(np.var(stat_full, ddof=1) / c_full)
+        center_full = m_p * design.horizon
+        center_half = m_p * half * delta
+        c_full = s_factor * design.horizon
     else:
         model = _model_from(cfg)
         model.validate(for_clt=True)
-        design = _design_from(cfg)
-        batch = simulate_spde_batch(model, design, _streams(cfg, n_rep),
-                                    workers=workers).drop_burn_in()
-        u = batch.values[:, :, 0]
-        delta = design.delta_n
-        n = design.n_steps
-        horizon = n * delta
+        paths = _sample_paths(model, design, driver, _streams(cfg, n_rep),
+                              workers).drop_burn_in()
+        u = paths.values[:, :, 0]
         if cfg["clt.normalization"] == "scheme":
             tau_sq = scheme_increment_variance(alpha, delta, design.spatial_modes)
         else:
@@ -734,42 +747,39 @@ def run_clt(cfg: Config, workers: int | None = None) -> ExperimentReport:
         sig = model.sigma(u[:, :-1])
         w = np.square(sig) if not model.sigma.is_constant else np.full_like(
             u[:, :-1], model.sigma(None) ** 2)
-        half = n // 2
-        ap = np.abs(z) ** p
         mu_dens = m_p * w ** (p / 2.0)  # LLN density on the left grid
-        v_full = delta * np.sum(ap, axis=1)
-        v_half = delta * np.sum(ap[:, :half], axis=1)
         center_full = delta * np.sum(mu_dens, axis=1)
         center_half = delta * np.sum(mu_dens[:, :half], axis=1)
         c_full = s_factor * delta * np.sum(w ** p, axis=1)
-        stat_full = (v_full - center_full) / math.sqrt(delta)
-        stat_half = (v_half - center_half) / math.sqrt(delta)
-        studentized = stat_full / np.sqrt(c_full)
-        for i in range(n_rep):
-            rows.append({
-                "replicate": i, "v_n": float(v_full[i]),
-                "stat": float(stat_full[i]), "studentized": float(studentized[i]),
-                "stat_first_half": float(stat_half[i]),
-                "stat_second_half": float(stat_full[i] - stat_half[i]),
-                "c_plug": float(c_full[i]),
-            })
-        var_ratio = float(np.var(studentized, ddof=1))
 
-    stud = np.array([row["studentized"] for row in rows])
+    ap = np.abs(z) ** p
+    v_full = delta * np.sum(ap, axis=1)
+    v_half = delta * np.sum(ap[:, :half], axis=1)
+    stat_full = (v_full - center_full) / math.sqrt(delta)
+    stat_half = (v_half - center_half) / math.sqrt(delta)
+    stud = stat_full / np.sqrt(c_full)
+    c_plug = np.broadcast_to(c_full, stud.shape)
+    rows = [{
+        "replicate": i, "v_n": float(v_full[i]),
+        "stat": float(stat_full[i]), "studentized": float(stud[i]),
+        "stat_first_half": float(stat_half[i]),
+        "stat_second_half": float(stat_full[i] - stat_half[i]),
+        "c_plug": float(c_plug[i]),
+    } for i in range(n_rep)]
+    # the exact driver's plug-in variance is one constant for all replicates
+    var_ratio = float(np.var(stat_full, ddof=1) / c_full if driver == "exact"
+                      else np.var(stud, ddof=1))
     d, pval = ks_test_normal(stud)
     mean = float(np.mean(stud))
     mean_se = float(np.std(stud, ddof=1) / math.sqrt(n_rep))
-    first = np.array([row["stat_first_half"] for row in rows])
-    second = np.array([row["stat_second_half"] for row in rows])
-    corr = float(np.corrcoef(first, second)[0, 1])
+    corr = float(np.corrcoef(stat_half, stat_full - stat_half)[0, 1])
     corr_se = 1.0 / math.sqrt(n_rep)
 
-    tol = cfg
     checks = {
-        "ks_pass": pval > tol["tolerances.ks_p_min"],
-        "variance_pass": abs(var_ratio - 1.0) <= tol["tolerances.var_ratio"],
-        "mean_pass": abs(mean) <= tol["tolerances.mean_se_mult"] * mean_se,
-        "independence_pass": abs(corr) <= tol["tolerances.corr_se_mult"] * corr_se,
+        "ks_pass": pval > cfg["tolerances.ks_p_min"],
+        "variance_pass": abs(var_ratio - 1.0) <= cfg["tolerances.var_ratio"],
+        "mean_pass": abs(mean) <= cfg["tolerances.mean_se_mult"] * mean_se,
+        "independence_pass": abs(corr) <= cfg["tolerances.corr_se_mult"] * corr_se,
     }
     summary = {
         "driver": driver, "alpha": alpha, "p": p, "n": int(cfg["design.n"]),
@@ -795,47 +805,28 @@ def run_estimation(cfg: Config, workers: int | None = None) -> ExperimentReport:
     alpha = cfg["model.alpha"]
     n_rep = cfg["replicates"]
     level = cfg["estimate.level"]
+    exact = cfg["driver"] == "exact"
+    model = _model_from(cfg)
+    design = _design_from(cfg)
+    paths = _sample_paths(model, design, cfg["driver"], _streams(cfg, n_rep),
+                          workers).drop_burn_in()
+    series = paths.values[:, :, 0]
     rows = []
 
     if estimator == "sigma0":
         p = cfg["functional.p"]
-        if cfg["driver"] == "spde":
-            model = _model_from(cfg)
-            design = _design_from(cfg)
-            truth = getattr(model.sigma, "sigma0", None)
-            batch = simulate_spde_batch(model, design, _streams(cfg, n_rep),
-                                        workers=workers).drop_burn_in()
-            for i in range(n_rep):
-                series = batch.values[i, :, 0]
-                try:
-                    rep = estimate_sigma0(p, series, design, alpha, level=level)
-                    rows.append({"replicate": i, "estimate": rep.estimate,
-                                 "se": rep.se, "ci_low": rep.ci_low,
-                                 "ci_high": rep.ci_high, "error": ""})
-                except DegeneratePath as exc:
-                    rows.append({"replicate": i, "estimate": float("nan"),
-                                 "se": float("nan"), "ci_low": float("nan"),
-                                 "ci_high": float("nan"), "error": str(exc)})
-        else:
-            n = cfg["design.n"]
-            horizon = cfg["design.horizon"]
-            delta = horizon / n
-            design = SamplingDesign(delta_n=delta, horizon=horizon)
-            truth = cfg["model.sigma.value"]
-            scale = tau_n(NoiseParams(alpha, 1), delta)
-            z = simulate_stationary_increments_batch(alpha, n, _streams(cfg, n_rep))
-            for i in range(n_rep):
-                u = np.concatenate([[0.0], np.cumsum(truth * scale * z[i])])
-                try:
-                    rep = estimate_sigma0(p, u, design, alpha, level=level,
-                                          force_unit_denominator=True)
-                    rows.append({"replicate": i, "estimate": rep.estimate,
-                                 "se": rep.se, "ci_low": rep.ci_low,
-                                 "ci_high": rep.ci_high, "error": ""})
-                except DegeneratePath as exc:
-                    rows.append({"replicate": i, "estimate": float("nan"),
-                                 "se": float("nan"), "ci_low": float("nan"),
-                                 "ci_high": float("nan"), "error": str(exc)})
+        truth = cfg["model.sigma.value"] if exact else getattr(model.sigma, "sigma0", None)
+        for i in range(n_rep):
+            try:
+                rep = estimate_sigma0(p, series[i], design, alpha, level=level,
+                                      force_unit_denominator=exact)
+                rows.append({"replicate": i, "estimate": rep.estimate,
+                             "se": rep.se, "ci_low": rep.ci_low,
+                             "ci_high": rep.ci_high, "error": ""})
+            except DegeneratePath as exc:
+                rows.append({"replicate": i, "estimate": float("nan"),
+                             "se": float("nan"), "ci_low": float("nan"),
+                             "ci_high": float("nan"), "error": str(exc)})
         good = [row for row in rows if not row["error"]]
         ests = np.array([row["estimate"] for row in good])
         n_bad = len(rows) - len(good)
@@ -856,17 +847,9 @@ def run_estimation(cfg: Config, workers: int | None = None) -> ExperimentReport:
         return _report(cfg, rows, summary, passed)
 
     if estimator == "coverage":
-        n = cfg["design.n"]
-        horizon = cfg["design.horizon"]
-        delta = horizon / n
-        design = SamplingDesign(delta_n=delta, horizon=horizon)
-        sigma0 = cfg["model.sigma.value"]
-        target = sigma0 ** 2 * horizon
-        scale = tau_n(NoiseParams(alpha, 1), delta)
-        z = simulate_stationary_increments_batch(alpha, n, _streams(cfg, n_rep))
+        target = cfg["model.sigma.value"] ** 2 * design.horizon
         for i in range(n_rep):
-            u = np.concatenate([[0.0], np.cumsum(sigma0 * scale * z[i])])
-            rep = integrated_variance_interval(u, design, alpha, level=level)
+            rep = integrated_variance_interval(series[i], design, alpha, level=level)
             covered = rep.ci_low <= target <= rep.ci_high
             rows.append({"replicate": i, "estimate": rep.estimate,
                          "ci_low": rep.ci_low, "ci_high": rep.ci_high,
@@ -878,27 +861,17 @@ def run_estimation(cfg: Config, workers: int | None = None) -> ExperimentReport:
                    "replicates": n_rep, "coverage": coverage}
         return _report(cfg, rows, summary, passed)
 
-    if estimator == "alpha":
-        n = cfg["design.n"]
-        horizon = cfg["design.horizon"]
-        delta = horizon / n
-        design = SamplingDesign(delta_n=delta, horizon=horizon)
-        scale = tau_n(NoiseParams(alpha, 1), delta)
-        z = simulate_stationary_increments_batch(alpha, n, _streams(cfg, n_rep))
-        for i in range(n_rep):
-            u = np.concatenate([[0.0], np.cumsum(scale * z[i])])
-            rep = estimate_alpha(u, design, level=level)
-            rows.append({"replicate": i, "estimate": rep.estimate,
-                         "se": rep.se, "ratio": rep.diagnostics["two_scale_ratio"]})
-        ests = np.array([row["estimate"] for row in rows])
-        bias = float(np.mean(ests) - alpha)
-        passed = abs(bias) <= cfg["tolerances.alpha_bias"]
-        summary = {"estimator": "alpha", "truth": alpha, "replicates": n_rep,
-                   "mean_estimate": float(np.mean(ests)), "bias": bias,
-                   "sd": float(np.std(ests, ddof=1))}
-        return _report(cfg, rows, summary, passed)
-
-    raise ConfigError(f"unknown estimator {estimator!r}")
+    for i in range(n_rep):
+        rep = estimate_alpha(series[i], design, level=level)
+        rows.append({"replicate": i, "estimate": rep.estimate,
+                     "se": rep.se, "ratio": rep.diagnostics["two_scale_ratio"]})
+    ests = np.array([row["estimate"] for row in rows])
+    bias = float(np.mean(ests) - alpha)
+    passed = abs(bias) <= cfg["tolerances.alpha_bias"]
+    summary = {"estimator": "alpha", "truth": alpha, "replicates": n_rep,
+               "mean_estimate": float(np.mean(ests)), "bias": bias,
+               "sd": float(np.std(ests, ddof=1))}
+    return _report(cfg, rows, summary, passed)
 
 
 # ---------------------------------------------------------------------------
@@ -911,62 +884,39 @@ def run_scaling(cfg: Config, workers: int | None = None) -> ExperimentReport:
     alphas = [float(a) for a in cfg["scaling.alphas"]]
     lags = [int(l) for l in cfg["scaling.lags"]]
     n_rep = cfg["replicates"]
+    design = _design_from(cfg)
     rows = []
 
+    def add(a, kind, slope, target, tol):
+        rows.append({"alpha": a, "kind": kind, "slope": slope, "target": target,
+                     "abs_dev": abs(slope - target), "tolerance": tol,
+                     "pass": abs(slope - target) <= tol})
+
     for idx, a in enumerate(alphas):
-        target_t = 0.5 - a / 4.0
-        if cfg["scaling.exact"]:
-            n = cfg["design.n"]
-            delta = 1.0 / n
-            scale = tau_n(NoiseParams(a, 1), delta)
-            z = simulate_stationary_increments_batch(
-                a, n, _streams(cfg, n_rep, salt=idx))
-            u = np.concatenate(
-                [np.zeros((n_rep, 1)), np.cumsum(scale * z, axis=1)], axis=1)
-            fit = moment_scaling_check(u[:, :, None], lags, delta_n=delta)
-            rows.append({"alpha": a, "kind": "temporal_exact",
-                         "slope": fit.slope, "target": target_t,
-                         "abs_dev": abs(fit.slope - target_t),
-                         "tolerance": cfg["tolerances.slope_exact"],
-                         "pass": abs(fit.slope - target_t)
-                                 <= cfg["tolerances.slope_exact"]})
-        if cfg["scaling.spde"]:
-            model = ModelSpec(noise=NoiseParams(a, 1), sigma=SigmaConstant(1.0),
-                              u0=U0Constant(0.0))
-            design = _design_from(cfg)
-            batch = simulate_spde_batch(
-                model, design, _streams(cfg, n_rep, salt=100 + idx),
-                workers=workers).drop_burn_in()
-            fit = moment_scaling_check(batch, lags)
-            rows.append({"alpha": a, "kind": "temporal_spde",
-                         "slope": fit.slope, "target": target_t,
-                         "abs_dev": abs(fit.slope - target_t),
-                         "tolerance": cfg["tolerances.slope_spde"],
-                         "pass": abs(fit.slope - target_t)
-                                 <= cfg["tolerances.slope_spde"]})
+        model = ModelSpec(noise=NoiseParams(a, 1), sigma=SigmaConstant(1.0),
+                          u0=U0Constant(0.0))
+        for driver, salt in (("exact", 0), ("spde", 100)):
+            if cfg[f"scaling.{driver}"]:
+                paths = _sample_paths(model, design, driver,
+                                      _streams(cfg, n_rep, salt=salt + idx),
+                                      workers).drop_burn_in()
+                add(a, f"temporal_{driver}", moment_scaling_check(paths, lags).slope,
+                    0.5 - a / 4.0, cfg[f"tolerances.slope_{driver}"])
         if cfg["scaling.spatial"]:
             # near-stationary additive field: spatial structure function obeys
             # the regularity law for shifts well inside the correlation length
             shifts = [int(s) for s in cfg["scaling.spatial_shifts"]]
             spacing = 1.0 / (64 * max(shifts))
             pts = tuple(np.arange(4 * max(shifts)) * spacing)
-            model = ModelSpec(noise=NoiseParams(a, 1), sigma=SigmaConstant(1.0),
-                              u0=U0Constant(0.0))
-            design = SamplingDesign(
+            spatial = SamplingDesign(
                 delta_n=5e-4, horizon=0.15, points=pts, n_lags=1,
                 spatial_modes=max(2048, cfg["design.spatial_modes"]),
                 oversampling=1, burn_in=100)
-            batch = simulate_spde_batch(
-                model, design, _streams(cfg, n_rep, salt=200 + idx),
-                workers=workers).drop_burn_in()
-            fit = spatial_scaling_check(batch, shifts)
-            target_x = 1.0 - a / 2.0
-            rows.append({"alpha": a, "kind": "spatial_spde",
-                         "slope": fit.slope, "target": target_x,
-                         "abs_dev": abs(fit.slope - target_x),
-                         "tolerance": cfg["tolerances.slope_spatial"],
-                         "pass": abs(fit.slope - target_x)
-                                 <= cfg["tolerances.slope_spatial"]})
+            paths = _sample_paths(model, spatial, "spde",
+                                  _streams(cfg, n_rep, salt=200 + idx),
+                                  workers).drop_burn_in()
+            add(a, "spatial_spde", spatial_scaling_check(paths, shifts).slope,
+                1.0 - a / 2.0, cfg["tolerances.slope_spatial"])
 
     passed = all(row["pass"] for row in rows)
     summary = {
@@ -986,41 +936,21 @@ def run_simulate(cfg: Config, workers: int | None = None,
                  out_dir=None) -> ExperimentReport:
     """Generate and (optionally) dump sample paths."""
     n_rep = cfg["replicates"]
-    rows = []
-    panels = []
-    if cfg["driver"] == "spde":
-        model = _model_from(cfg)
-        design = _design_from(cfg)
-        batch = simulate_spde_batch(model, design, _streams(cfg, n_rep),
-                                    workers=workers)
-        panels = [batch.panel(i) for i in range(n_rep)]
-    else:
-        alpha = cfg["model.alpha"]
-        n = cfg["design.n"]
-        horizon = cfg["design.horizon"]
-        delta = horizon / n
-        scale = tau_n(NoiseParams(alpha, 1), delta)
-        z = simulate_stationary_increments_batch(alpha, n, _streams(cfg, n_rep))
-        for i in range(n_rep):
-            u = np.concatenate([[0.0], np.cumsum(scale * z[i])])
-            panels.append(PathPanel(times=delta * np.arange(n + 1),
-                                    points=(0.0,), values=u[:, None],
-                                    meta={"driver": "exact", "alpha": alpha}))
+    # the dump keeps the burn-in: it shows every simulated observation
+    paths = _sample_paths(_model_from(cfg), _design_from(cfg), cfg["driver"],
+                          _streams(cfg, n_rep), workers)
+    rows = [{"replicate": i, "n_times": len(paths.times),
+             "final_value_x1": float(paths.values[i, -1, 0]),
+             "max_abs": float(np.max(np.abs(paths.values[i])))}
+            for i in range(n_rep)]
     files = []
     if out_dir is not None:
         pdir = os.path.join(out_dir, "paths")
         os.makedirs(pdir, exist_ok=True)
-        for i, panel in enumerate(panels):
-            fname = os.path.join(pdir, f"path_{i:04d}.csv")
-            panel.to_csv(fname)
-            files.append(os.path.basename(fname))
-    for i, panel in enumerate(panels):
-        rows.append({"replicate": i,
-                     "n_times": len(panel.times),
-                     "final_value_x1": float(panel.values[-1, 0]),
-                     "max_abs": float(np.max(np.abs(panel.values)))})
-    summary = {"n_paths": len(panels), "files": files,
-               "driver": cfg["driver"]}
+        for i in range(n_rep):
+            files.append(f"path_{i:04d}.csv")
+            paths.panel(i).to_csv(os.path.join(pdir, files[-1]))
+    summary = {"n_paths": n_rep, "files": files, "driver": cfg["driver"]}
     return _report(cfg, rows, summary, True)
 
 

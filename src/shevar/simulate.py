@@ -17,6 +17,10 @@ Two generators live here:
   over the micro-step (per-mode damping), which makes the scheme exact for
   constant sigma.
 
+Paths live in one container, :class:`PathPanel`: one path ``(n_times, K)``
+or a replicate stack ``(R, n_times, K)``, as :func:`simulate_spde_batch`
+returns it, with a single ``drop_burn_in``.
+
 Torus truncation leaves a computable deficit in the increment variance;
 :func:`scheme_increment_variance` returns the scheme's own exact stationary
 increment variance so experiments can normalise against the simulated system
@@ -220,18 +224,15 @@ def embedding_autocovariance(alpha: float, n_steps: int) -> np.ndarray:
 
 
 def _draw_increments(lam: np.ndarray, m: int, gen: np.random.Generator,
-                     n_steps: int, n_reps: int = 1) -> np.ndarray:
+                     n_steps: int) -> np.ndarray:
     mh = m // 2
-    out = np.empty((n_reps, n_steps))
     scale = np.sqrt(lam / m)
-    for b in range(n_reps):
-        xi = gen.standard_normal(mh + 1)
-        eta = gen.standard_normal(mh + 1)
-        half = scale * (xi + 1j * eta) / math.sqrt(2.0)
-        half[0] = scale[0] * xi[0]
-        half[mh] = scale[mh] * xi[mh]
-        out[b] = m * np.fft.irfft(half, n=m)[:n_steps]
-    return out
+    xi = gen.standard_normal(mh + 1)
+    eta = gen.standard_normal(mh + 1)
+    half = scale * (xi + 1j * eta) / math.sqrt(2.0)
+    half[0] = scale[0] * xi[0]
+    half[mh] = scale[mh] * xi[mh]
+    return m * np.fft.irfft(half, n=m)[:n_steps]
 
 
 def simulate_stationary_increments(alpha: float, n_steps: int, rng) -> np.ndarray:
@@ -246,7 +247,7 @@ def simulate_stationary_increments(alpha: float, n_steps: int, rng) -> np.ndarra
         lam, m = circulant_embedding(alpha, n_steps)
     except EmbeddingFailure:
         lam, m = circulant_embedding(alpha, n_steps, pad_factor=2)
-    return _draw_increments(lam, m, gen, n_steps)[0]
+    return _draw_increments(lam, m, gen, n_steps)
 
 
 def simulate_stationary_increments_batch(alpha: float, n_steps: int,
@@ -256,9 +257,9 @@ def simulate_stationary_increments_batch(alpha: float, n_steps: int,
         lam, m = circulant_embedding(alpha, n_steps)
     except EmbeddingFailure:
         lam, m = circulant_embedding(alpha, n_steps, pad_factor=2)
-    rows = [
-        _draw_increments(lam, m, _as_generator(s), n_steps)[0] for s in streams
-    ]
+    # one array per stream, stacked once: filling a preallocated (R, n) output
+    # instead keeps more heap alive over repeated runs in one process
+    rows = [_draw_increments(lam, m, _as_generator(s), n_steps) for s in streams]
     return np.vstack(rows)
 
 
@@ -358,13 +359,17 @@ def sample_noise_increments(alpha: float, n_modes: int, delta: float,
 
 
 # ---------------------------------------------------------------------------
-# path containers
+# path container
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class PathPanel:
-    """Observed path: times, spatial points, values (n_times, K), metadata."""
+    """Observed paths: times, spatial points, values and metadata.
+
+    ``values`` is one path ``(n_times, K)`` or a replicate stack
+    ``(R, n_times, K)``; :meth:`panel` gives replicate i of a stack.
+    """
 
     times: np.ndarray
     points: tuple
@@ -376,8 +381,9 @@ class PathPanel:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim == 1:
             self.values = self.values[:, None]
-        if self.values.shape != (len(self.times), len(self.points)):
-            raise ValueError("values must have shape (n_times, n_points)")
+        if (self.values.ndim not in (2, 3)
+                or self.values.shape[-2:] != (len(self.times), len(self.points))):
+            raise ValueError("values must have shape ([R,] n_times, n_points)")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("path panel contains non-finite values")
 
@@ -385,18 +391,34 @@ class PathPanel:
     def delta_n(self) -> float:
         return float(self.times[1] - self.times[0])
 
-    def drop_burn_in(self, n_steps: int | None = None) -> "PathPanel":
-        """Discard the leading burn-in observation steps and rebase time at 0."""
-        b = self.meta.get("burn_in", 0) if n_steps is None else int(n_steps)
+    @property
+    def n_replicates(self) -> int:
+        """Number of stacked replicates (1 for a single path)."""
+        return self.values.shape[0] if self.values.ndim == 3 else 1
+
+    def panel(self, i: int) -> "PathPanel":
+        """Replicate i of a stack as a single-path panel."""
+        if self.values.ndim != 3:
+            raise ValueError("panel(i) needs a replicate stack")
+        meta = dict(self.meta)
+        meta["replicate"] = i
+        return PathPanel(times=self.times, points=self.points,
+                         values=self.values[i], meta=meta)
+
+    def drop_burn_in(self) -> "PathPanel":
+        """Discard the leading ``meta["burn_in"]`` steps and rebase time at 0."""
+        b = self.meta.get("burn_in", 0)
         if b == 0:
             return self
         meta = dict(self.meta)
         meta["burn_in"] = 0
         meta["dropped_steps"] = b
         return PathPanel(times=self.times[b:] - self.times[b],
-                         points=self.points, values=self.values[b:], meta=meta)
+                         points=self.points, values=self.values[..., b:, :], meta=meta)
 
     def to_csv(self, path) -> None:
+        if self.values.ndim != 2:
+            raise ValueError("to_csv writes one path; take panel(i) of a stack")
         header = "time," + ",".join(f"x_{i + 1}" for i in range(len(self.points)))
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(header + "\n")
@@ -412,6 +434,8 @@ class PathPanel:
         """
         import json
 
+        if self.values.ndim != 2:
+            raise ValueError("to_binary writes one path; take panel(i) of a stack")
         cols = ["time"] + [f"x_{i + 1}" for i in range(len(self.points))]
         head = json.dumps({"columns": cols, "rows": len(self.times),
                            "dtype": "<f8"}).encode() + b"\n"
@@ -433,36 +457,6 @@ class PathPanel:
         data = data.reshape(len(cols), n)
         return cls(times=data[0], points=tuple(range(len(cols) - 1)),
                    values=data[1:].T)
-
-
-@dataclass
-class SpdeBatch:
-    """Replicate-stacked SPDE output: values (R, n_times, K)."""
-
-    times: np.ndarray
-    points: tuple
-    values: np.ndarray
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def n_replicates(self) -> int:
-        return self.values.shape[0]
-
-    def panel(self, i: int) -> PathPanel:
-        meta = dict(self.meta)
-        meta["replicate"] = i
-        return PathPanel(times=self.times, points=self.points,
-                         values=self.values[i], meta=meta)
-
-    def drop_burn_in(self) -> "SpdeBatch":
-        b = self.meta.get("burn_in", 0)
-        if b == 0:
-            return self
-        meta = dict(self.meta)
-        meta["burn_in"] = 0
-        meta["dropped_steps"] = b
-        return SpdeBatch(times=self.times[b:] - self.times[b],
-                         points=self.points, values=self.values[:, b:], meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -505,14 +499,15 @@ def _thread_count(workers) -> int:
 
 def simulate_spde_batch(model: ModelSpec, design: SamplingDesign, streams,
                         dtype=np.float32, blowup_cap: float = 1e6,
-                        workers: int | None = None) -> SpdeBatch:
+                        workers: int | None = None) -> PathPanel:
     """Simulate independent replicates of the SPDE in vectorised lockstep.
 
     Each replicate's noise comes from its own stream, so any subset of
     streams reproduces exactly the same paths as the full batch.  The state
     is advanced in Fourier space: semigroup multiplication, then injection of
     the damped, sigma-modulated spectral noise increment (transform, multiply,
-    transform).  Values are recorded at observation times in float64.
+    transform).  Values are recorded at observation times in float64 and
+    returned as a replicate stack ``(R, n_times, K)``, burn-in included.
 
     ``workers`` threads run the FFT batches and the random draws (each
     thread fills its own block of streams); None uses every core this
@@ -616,7 +611,7 @@ def simulate_spde_batch(model: ModelSpec, design: SamplingDesign, streams,
         "tau_scheme_sq": scheme_increment_variance(alpha, design.delta_n, n),
     }
     times = design.delta_n * np.arange(n_obs + 1)
-    return SpdeBatch(times=times, points=design.points, values=out, meta=meta)
+    return PathPanel(times=times, points=design.points, values=out, meta=meta)
 
 
 def simulate_spde(model: ModelSpec, design: SamplingDesign, rng,
@@ -652,15 +647,13 @@ class ScalingFit:
 def moment_scaling_check(panel, lags, delta_n: float | None = None) -> ScalingFit:
     """Fit ``log E[|u(t + l*delta) - u(t)|^2]^(1/2) ~ slope * log(l*delta)``.
 
-    ``panel`` may be a :class:`PathPanel`, an :class:`SpdeBatch` or a raw
-    array whose first-to-last axis layout is (..., n_times, K) (pass
-    ``delta_n`` for raw arrays).  The fitted slope estimates the temporal
-    regularity exponent ``1/2 - alpha/4``.
+    ``panel`` may be a :class:`PathPanel` or a raw array whose
+    first-to-last axis layout is (..., n_times, K) (pass ``delta_n`` for raw
+    arrays).  The fitted slope estimates the temporal regularity exponent
+    ``1/2 - alpha/4``.
     """
     if isinstance(panel, PathPanel):
         values, dt = panel.values, panel.delta_n
-    elif isinstance(panel, SpdeBatch):
-        values, dt = panel.values, float(panel.times[1] - panel.times[0])
     else:
         if delta_n is None:
             raise ValueError("delta_n is required for raw arrays")
@@ -691,10 +684,9 @@ def spatial_scaling_check(panel, shifts) -> ScalingFit:
     ``shifts`` are integer multiples of the point spacing; the fitted slope
     estimates the spatial regularity exponent ``1 - alpha/2``.
     """
-    if isinstance(panel, (PathPanel, SpdeBatch)):
-        values, points = panel.values, np.asarray(panel.points, dtype=float)
-    else:
-        raise TypeError("spatial_scaling_check needs a PathPanel or SpdeBatch")
+    if not isinstance(panel, PathPanel):
+        raise TypeError("spatial_scaling_check needs a PathPanel")
+    values, points = panel.values, np.asarray(panel.points, dtype=float)
     spacing = np.diff(points)
     if len(points) < 4 or not np.allclose(spacing, spacing[0], rtol=1e-9):
         raise ValueError("need >= 4 equally spaced observation points")

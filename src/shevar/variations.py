@@ -195,15 +195,3 @@ def clt_statistic(v_n: np.ndarray, v_limit: np.ndarray, delta_n: float) -> np.nd
     if v_n.shape != v_limit.shape:
         raise ValueError("V^n and its centering live on different grids")
     return (v_n - v_limit) / np.sqrt(delta_n)
-
-
-def variation_path_to_csv(path, t_grid, values) -> None:
-    """Write a variation path as CSV rows (t, m, value)."""
-    values = np.atleast_2d(np.asarray(values, dtype=float))
-    if values.shape[0] != len(t_grid):
-        values = values.T
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,m,value\n")
-        for i, t in enumerate(t_grid):
-            for m in range(values.shape[1]):
-                fh.write(f"{t:.17g},{m},{values[i, m]:.17g}\n")

@@ -76,6 +76,33 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(p, base=default_config("clt"))
 
+    def test_unknown_driver_rejected(self):
+        with pytest.raises(ConfigError, match="driver"):
+            default_config("clt").replace(driver="spd")
+
+    def test_unknown_normalization_rejected(self):
+        with pytest.raises(ConfigError, match="clt.normalization"):
+            default_config("clt").replace(**{"clt.normalization": "scheem"})
+
+    def test_unknown_estimator_rejected(self):
+        with pytest.raises(ConfigError, match="estimate.estimator"):
+            default_config("estimate").replace(**{"estimate.estimator": "sigma"})
+
+    def test_lln_on_spde_rejected(self):
+        with pytest.raises(ConfigError, match="exact"):
+            default_config("lln").replace(driver="spde")
+
+    @pytest.mark.parametrize("estimator", ["coverage", "alpha"])
+    def test_exact_only_estimators_on_spde_rejected(self, estimator):
+        with pytest.raises(ConfigError, match="exact"):
+            default_config("estimate").replace(**{
+                "estimate.estimator": estimator, "driver": "spde"})
+
+    @pytest.mark.parametrize("kind", ["linear", "affine"])
+    def test_exact_driver_with_nonconstant_sigma_rejected(self, kind):
+        with pytest.raises(ConfigError, match="model.sigma.kind"):
+            default_config("simulate").replace(**{"model.sigma.kind": kind})
+
 
 class TestKolmogorovSmirnov:
     """Statistic validated against brute force over the empirical CDF."""
@@ -223,6 +250,22 @@ class TestRunners:
         rep = run_experiment(cfg)
         assert rep.passed
 
+    def test_simulate_exact_paths_are_cumulated_increments(self, tmp_path):
+        cfg = default_config("simulate").replace(**{
+            "replicates": 3, "design.n": 128, "model.sigma.value": 1.5,
+            "seed": 77})
+        run_experiment(cfg, out_dir=str(tmp_path))
+        delta = cfg["design.horizon"] / cfg["design.n"]
+        scale = 1.5 * tau_n(NoiseParams(cfg["model.alpha"], 1), delta)
+        z = simulate_stationary_increments_batch(
+            cfg["model.alpha"], 128, [RngStream(77, i) for i in range(3)])
+        for i in range(3):
+            dumped = np.loadtxt(tmp_path / "paths" / f"path_{i:04d}.csv",
+                                delimiter=",", skiprows=1)
+            assert np.array_equal(dumped[:, 0], delta * np.arange(129))
+            assert np.array_equal(dumped[:, 1],
+                                  np.concatenate([[0.0], np.cumsum(scale * z[i])]))
+
     def test_simulate_writes_paths(self, tmp_path):
         cfg = default_config("simulate").replace(**{"replicates": 2})
         rep = run_experiment(cfg, out_dir=str(tmp_path))
@@ -261,6 +304,18 @@ class TestReports:
         a = run_experiment(cfg, workers=1, out_dir=str(tmp_path / "a"))
         b = run_experiment(cfg, workers=2, out_dir=str(tmp_path / "b"))
         assert a.rows == b.rows
+        csv_a = (tmp_path / "a" / "replicates.csv").read_bytes()
+        csv_b = (tmp_path / "b" / "replicates.csv").read_bytes()
+        assert csv_a == csv_b
+
+    def test_spde_reproducible_across_threads(self, tmp_path):
+        cfg = default_config("clt").replace(**{
+            "driver": "spde", "model.sigma.kind": "linear",
+            "model.sigma.sigma0": 0.5, "design.n": 32, "design.horizon": 0.0025,
+            "design.spatial_modes": 128, "design.oversampling": 2,
+            "design.burn_in": 8, "replicates": 7})
+        run_experiment(cfg, workers=1, out_dir=str(tmp_path / "a"))
+        run_experiment(cfg, workers=2, out_dir=str(tmp_path / "b"))
         csv_a = (tmp_path / "a" / "replicates.csv").read_bytes()
         csv_b = (tmp_path / "b" / "replicates.csv").read_bytes()
         assert csv_a == csv_b

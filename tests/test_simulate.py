@@ -293,6 +293,9 @@ class TestSpdeScheme:
         for workers in (2, 3, 8, None):
             many = simulate_spde_batch(model, des, streams, workers=workers).values
             assert np.array_equal(one, many)
+        # a subset of the streams run alone reproduces its rows of the batch
+        subset = simulate_spde_batch(model, des, [streams[2], streams[5]]).values
+        assert np.array_equal(subset, one[[2, 5]])
 
     def test_self_convergence_in_oversampling(self):
         """Halving the micro-step moves V^n_2 by less than the MC error."""
@@ -412,3 +415,46 @@ class TestPathPanelIO:
         assert q.times[0] == 0.0
         assert np.array_equal(q.values, p.values[2:])
         assert q.meta["burn_in"] == 0
+
+    def stack(self):
+        times = 0.1 * np.arange(4)
+        values = np.arange(24.0).reshape(3, 4, 2)
+        return PathPanel(times=times, points=(0.0, 0.5), values=values,
+                         meta={"burn_in": 2})
+
+    def test_stack_shape_checked(self):
+        with pytest.raises(ValueError):
+            PathPanel(times=0.1 * np.arange(4), points=(0.0, 0.5),
+                      values=np.zeros((3, 5, 2)))
+        with pytest.raises(ValueError):
+            PathPanel(times=0.1 * np.arange(4), points=(0.0, 0.5),
+                      values=np.zeros((2, 3, 4, 2)))
+
+    def test_stack_replicates(self):
+        s = self.stack()
+        assert s.n_replicates == 3
+        assert self.panel().n_replicates == 1
+        one = s.panel(1)
+        assert one.values.shape == (4, 2)
+        assert np.array_equal(one.values, s.values[1])
+        assert one.meta["replicate"] == 1
+        assert np.array_equal(one.times, s.times)
+
+    def test_stack_written_one_path_at_a_time(self, tmp_path):
+        s = self.stack()
+        with pytest.raises(ValueError):
+            s.to_csv(tmp_path / "s.csv")
+        with pytest.raises(ValueError):
+            s.to_binary(tmp_path / "s.bin")
+        with pytest.raises(ValueError):
+            self.panel().panel(0)
+        s.panel(2).to_csv(tmp_path / "s2.csv")
+
+    def test_stack_drop_burn_in(self):
+        s = self.stack()
+        q = s.drop_burn_in()
+        assert q.values.shape == (3, 2, 2)
+        assert np.array_equal(q.values, s.values[:, 2:, :])
+        assert np.array_equal(q.times, s.times[2:] - s.times[2])
+        assert q.meta["burn_in"] == 0 and q.meta["dropped_steps"] == 2
+        assert q.drop_burn_in() is q

@@ -15,7 +15,6 @@ from shevar.variations import (
     extract_increments,
     power_variation,
     variation_functional,
-    variation_path_to_csv,
 )
 
 
@@ -212,15 +211,3 @@ class TestCltStatistic:
     def test_grid_mismatch(self):
         with pytest.raises(ValueError):
             clt_statistic(np.zeros(3), np.zeros(4), 0.1)
-
-
-def test_csv_export(tmp_path):
-    t = np.array([0.1, 0.2])
-    vals = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = tmp_path / "path.csv"
-    variation_path_to_csv(out, t, vals)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "t,m,value"
-    assert len(lines) == 5
-    t0, m0, v0 = lines[1].split(",")
-    assert float(t0) == 0.1 and m0 == "0" and float(v0) == 1.0

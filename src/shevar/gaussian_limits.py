@@ -793,6 +793,12 @@ def _series_coefficient(f, m1, m2, unit_w, alpha, r_max, mc):
     if polynomial and f.n_lags == 1:
         return _pairing_series(sum(mono1), sum(mono2), alpha, r_max)
 
+    # single-lag absolute powers take the closed form on any window length;
+    # signed multi-lag monomials fall through to the lag loop
+    pl1, pl2 = _abs_power_lag(f.components[m1]), _abs_power_lag(f.components[m2])
+    if pl1 is not None and pl2 is not None:
+        return _abs_power_series(*pl1, *pl2, alpha, r_max)
+
     if polynomial:
         total = rho(f, m1, m2, 0, unit_w, alpha)
         last_ratio = 0.0
@@ -804,10 +810,6 @@ def _series_coefficient(f, m1, m2, unit_w, alpha, r_max, mc):
             if g2 > 0 and r > r_max - 16:
                 last_ratio = max(last_ratio, abs(v12 + v21) / g2)
         return total, last_ratio * gamma_sq_tail_bound(alpha, r_max), 0.0, r_max
-
-    pl1, pl2 = _abs_power_lag(f.components[m1]), _abs_power_lag(f.components[m2])
-    if pl1 is not None and pl2 is not None:
-        return _abs_power_series(*pl1, *pl2, alpha, r_max)
 
     # Monte Carlo pair: truncate the lag series early.  The lag sum is formed
     # draw by draw, so its standard error includes the correlation that the

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import __version__
-from .gaussian_limits import EvaluationFunction, MonteCarlo, limit_covariance
+from .gaussian_limits import AbsPower, EvaluationFunction, MonteCarlo, limit_covariance
 from .inference import (
     DegeneratePath,
     estimate_alpha,
@@ -57,7 +57,13 @@ from .simulate import (
     simulate_stationary_increments_batch,
     spatial_scaling_check,
 )
-from .variations import SamplingDesign
+from .variations import (
+    IncrementPanel,
+    SamplingDesign,
+    clt_statistic,
+    extract_increments,
+    variation_functional,
+)
 
 EXPERIMENTS = ("identities", "lln", "clt", "estimate", "scaling", "simulate")
 
@@ -329,6 +335,11 @@ def _validate(data: dict) -> dict:
             and out.get("model.sigma.kind", "constant") != "constant"):
         raise ConfigError("driver = exact samples additive noise: it needs "
                           "model.sigma.kind = constant")
+    exact_sampler = ((driver == "exact" and kind in ("clt", "estimate", "simulate"))
+                     or (kind == "scaling" and out.get("scaling.exact")))
+    if exact_sampler and len(out.get("design.points", [0.0])) > 1:
+        raise ConfigError("the exact sampler draws one point: it needs a single "
+                          "design.points entry")
     return out
 
 
@@ -665,15 +676,18 @@ def run_lln(cfg: Config, workers: int | None = None) -> ExperimentReport:
     powers = [float(p) for p in cfg["functional.powers"]]
     ladder = [int(e) for e in cfg["lln.ladder"]]
     n_rep = cfg["replicates"]
+    f = EvaluationFunction([AbsPower(p) for p in powers])
     rows = []
     err_table = {p: [] for p in powers}
     for rung, log2n in enumerate(ladder):
         n = 2 ** log2n
-        delta = 1.0 / n
+        design = SamplingDesign(delta_n=1.0 / n, horizon=1.0)
         z = simulate_stationary_increments_batch(
             alpha, n, _streams(cfg, n_rep, salt=rung))
-        for p in powers:
-            v = delta * np.sum(np.abs(z) ** p, axis=1)
+        panel = IncrementPanel(z[..., None], design.delta_n, tau=1.0, alpha=alpha)
+        v_n = variation_functional(f, panel, design, [1.0])[:, 0]
+        for m, p in enumerate(powers):
+            v = v_n[:, m]
             target = abs_moment(p)
             err = np.abs(v - target)
             err_table[p].append(float(np.mean(err)))
@@ -730,33 +744,31 @@ def run_clt(cfg: Config, workers: int | None = None) -> ExperimentReport:
 
     if driver == "exact":
         z = simulate_stationary_increments_batch(alpha, n, _streams(cfg, n_rep))
-        center_full = m_p * design.horizon
-        center_half = m_p * half * delta
+        panel = IncrementPanel(z[..., None], delta, tau=1.0, alpha=alpha)
+        center = np.array([m_p * half * delta, m_p * design.horizon])
         c_full = s_factor * design.horizon
     else:
         model = _model_from(cfg)
         model.validate(for_clt=True)
         paths = _sample_paths(model, design, driver, _streams(cfg, n_rep),
                               workers).drop_burn_in()
-        u = paths.values[:, :, 0]
         if cfg["clt.normalization"] == "scheme":
             tau_sq = scheme_increment_variance(alpha, delta, design.spatial_modes)
         else:
             tau_sq = tau_n(NoiseParams(alpha, 1), delta) ** 2
-        z = np.diff(u, axis=1) / math.sqrt(tau_sq)
-        sig = model.sigma(u[:, :-1])
-        w = np.square(sig) if not model.sigma.is_constant else np.full_like(
-            u[:, :-1], model.sigma(None) ** 2)
+        panel = extract_increments(paths.values, design, alpha, tau=math.sqrt(tau_sq))
+        u = paths.values[:, :-1, 0]
+        w = np.square(model.sigma(u)) if not model.sigma.is_constant else np.full_like(
+            u, model.sigma(None) ** 2)
         mu_dens = m_p * w ** (p / 2.0)  # LLN density on the left grid
-        center_full = delta * np.sum(mu_dens, axis=1)
-        center_half = delta * np.sum(mu_dens[:, :half], axis=1)
+        center = np.stack([delta * np.sum(mu_dens[:, :half], axis=1),
+                           delta * np.sum(mu_dens, axis=1)], axis=-1)
         c_full = s_factor * delta * np.sum(w ** p, axis=1)
 
-    ap = np.abs(z) ** p
-    v_full = delta * np.sum(ap, axis=1)
-    v_half = delta * np.sum(ap[:, :half], axis=1)
-    stat_full = (v_full - center_full) / math.sqrt(delta)
-    stat_half = (v_half - center_half) / math.sqrt(delta)
+    f = EvaluationFunction.abs_power(p, n_points=panel.n_points)
+    v_n = variation_functional(f, panel, design, [half * delta, design.horizon])[..., 0]
+    stat = clt_statistic(v_n, np.broadcast_to(center, v_n.shape), delta)
+    v_full, stat_half, stat_full = v_n[:, 1], stat[:, 0], stat[:, 1]
     stud = stat_full / np.sqrt(c_full)
     c_plug = np.broadcast_to(c_full, stud.shape)
     rows = [{

@@ -24,8 +24,13 @@ from statistics import NormalDist
 import numpy as np
 
 from .gaussian_limits import EvaluationFunction, MonteCarlo, limit_covariance
-from .kernels import NoiseParams, abs_moment, tau_n
-from .variations import IncrementPanel, SamplingDesign
+from .kernels import abs_moment
+from .variations import (
+    IncrementPanel,
+    SamplingDesign,
+    extract_increments,
+    power_variation,
+)
 
 
 class DegeneratePath(RuntimeError):
@@ -153,10 +158,9 @@ def estimate_sigma0(p: float, series, design: SamplingDesign, alpha: float,
     if len(u) != n + 1:
         raise ValueError(f"series length {len(u)} != n_steps + 1 = {n + 1}")
     horizon = n * design.delta_n
-    scale = tau if tau is not None else tau_n(NoiseParams(alpha, 1), design.delta_n)
-    z = np.diff(u) / scale
+    panel = extract_increments(u, design, alpha, tau=tau)
     m_p = abs_moment(p)
-    v_np = design.delta_n * float(np.sum(np.abs(z) ** p))
+    v_np = float(power_variation(p, panel, design, [horizon])[0])
     if force_unit_denominator:
         denom = m_p * horizon
     else:
@@ -167,7 +171,7 @@ def estimate_sigma0(p: float, series, design: SamplingDesign, alpha: float,
     est_p = v_np / denom
     sigma0 = est_p ** (1.0 / p)
     c_hat, w_hat, law = _plugin_limit_variance(
-        z, p, alpha, design.delta_n, horizon, window=window, mc=mc)
+        panel.values[:, 0], p, alpha, design.delta_n, horizon, window=window, mc=mc)
     se_p = math.sqrt(design.delta_n * c_hat) / denom
     guard = max(sigma0 ** (p - 1.0), 1e-12)
     se = se_p / (p * guard)
@@ -268,15 +272,14 @@ def integrated_variance_interval(series_or_panel, design: SamplingDesign,
     :class:`EstimateReport`.
     """
     if isinstance(series_or_panel, IncrementPanel):
-        z = series_or_panel.values[:, 0]
-        delta = series_or_panel.delta_n
+        panel = series_or_panel
     else:
-        u = np.asarray(series_or_panel, dtype=float)
-        scale = tau if tau is not None else tau_n(NoiseParams(alpha, 1), design.delta_n)
-        z = np.diff(u) / scale
-        delta = design.delta_n
+        panel = extract_increments(series_or_panel, design, alpha, tau=tau)
+    z = panel.values[:, 0]
+    delta = panel.delta_n
     horizon = len(z) * delta
-    v = delta * float(np.sum(z ** 2))
+    # rejects a panel off the design's step or longer than its horizon
+    v = float(power_variation(2.0, panel, design, [horizon])[0])
     c_hat, _, law = _plugin_limit_variance(z, 2.0, alpha, delta, horizon,
                                            window=window, mc=mc)
     lo, hi = confidence_interval(v, c_hat, delta, level)

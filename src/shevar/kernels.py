@@ -346,50 +346,3 @@ def pi_mass(alpha: float, r: int, tol: float = 1e-9) -> float:
             f"pi_mass error estimate {err:.3e} exceeds tolerance", achieved_error=err
         )
     return scale * total
-
-
-def pi_abs_mass_estimate(alpha: float, r: int, h_scaled: float,
-                         t_cut: float | None = None,
-                         n_grid: int = 48) -> float:
-    """Coarse cubature estimate of the total variation mass of the lag-r measure.
-
-    In dimension 1 the absolute measure, after rescaling time by the step and
-    space by its square root, no longer depends on the step size; only the
-    scaled spatial shift ``h_scaled = h / sqrt(step)`` remains.  This function
-    integrates the absolute integrand on a fixed tensor grid -- accurate to a
-    few percent only, which suffices for the qualitative boundedness and
-    decay checks (the signed-mass identity is handled by :func:`pi_mass`).
-    ``t_cut`` restricts time integration to ``[t_cut, inf)`` to probe tail decay.
-    """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie in (0, 1)")
-    c_alpha = riesz_constant(NoiseParams(alpha, 1))
-    c_norm = clt_constant(NoiseParams(alpha, 1))
-
-    def g(t, x):
-        t = np.asarray(t)
-        out = np.zeros(np.broadcast(t, x).shape)
-        pos = t > 0
-        tp = np.broadcast_to(t, out.shape)[pos]
-        xp = np.broadcast_to(x, out.shape)[pos]
-        out[pos] = (2.0 * math.pi * tp) ** -0.5 * np.exp(-xp ** 2 / (2.0 * tp))
-        return out
-
-    # Symmetrised log-spaced time grid plus Gauss-Hermite-flavoured space grid.
-    lo = math.log(1e-4 if t_cut is None else max(t_cut, 1e-4))
-    t_nodes = np.exp(np.linspace(lo, math.log(60.0 + 2.0 * r), 2 * n_grid))
-    x_span = 4.0 * math.sqrt(60.0 + 2.0 * r) + abs(h_scaled)
-    x_nodes = np.linspace(-x_span, x_span, 2 * n_grid + 1)
-    x_nodes = 0.5 * (x_nodes[1:] + x_nodes[:-1])
-    dx = x_nodes[1] - x_nodes[0]
-    # stagger the second spatial grid by half a cell so |y - y'| never vanishes
-    T, Y, Z = np.meshgrid(t_nodes, x_nodes, x_nodes + 0.5 * dx, indexing="ij")
-    f1 = np.abs(g(T, Y) - g(T - 1.0, Y))
-    f2 = np.abs(g(T + r, Z + h_scaled) - g(T + r - 1.0, Z + h_scaled))
-    kern = c_alpha * np.abs(Y - Z) ** (-alpha)
-    vals = f1 * f2 * kern
-    dt = np.empty_like(t_nodes)
-    dt[:-1] = np.diff(t_nodes)
-    dt[-1] = dt[-2]
-    mass = float(np.einsum("tyz,t->", vals, dt) * dx * dx)
-    return mass / c_norm

@@ -239,20 +239,18 @@ def simulate_stationary_increments(alpha: float, n_steps: int, rng) -> np.ndarra
     """Exact sample of the normalised increment sequence (unit variance,
     autocovariance ``Gamma_r``) of length ``n_steps``.
 
-    Falls back once to doubled padding if the embedding has a negative
-    eigenvalue (does not happen for this covariance family in practice).
+    It is row 0 of :func:`simulate_stationary_increments_batch` on ``[rng]``.
     """
-    gen = _as_generator(rng)
-    try:
-        lam, m = circulant_embedding(alpha, n_steps)
-    except EmbeddingFailure:
-        lam, m = circulant_embedding(alpha, n_steps, pad_factor=2)
-    return _draw_increments(lam, m, gen, n_steps)
+    return simulate_stationary_increments_batch(alpha, n_steps, [rng])[0]
 
 
 def simulate_stationary_increments_batch(alpha: float, n_steps: int,
                                          streams) -> np.ndarray:
-    """Stack of exact increment sequences, one independent stream per row."""
+    """Stack of exact increment sequences, one independent stream per row.
+
+    Falls back once to doubled padding if the embedding has a negative
+    eigenvalue (does not happen for this covariance family in practice).
+    """
     try:
         lam, m = circulant_embedding(alpha, n_steps)
     except EmbeddingFailure:

@@ -7,9 +7,8 @@ and the cumulative variation functionals
     ``V^n_f(t)_m = delta_n * sum_{i=1}^{t(n)} f_m(window_i)``
 
 where a window stacks L consecutive increments at K spatial points and
-``t(n) = floor(t / delta_n) - L + 1``.  Sums are accumulated left to right
-with compensated (Kahan) summation so long panels stay reproducible and
-accurate.
+``t(n) = floor(t / delta_n) - L + 1``.  Panels and functionals also take a
+replicate stack: a leading axis of independent paths.
 """
 
 from __future__ import annotations
@@ -81,7 +80,11 @@ class SamplingDesign:
 
 @dataclass(frozen=True)
 class IncrementPanel:
-    """Normalised increments, row i = time step, column k = spatial point."""
+    """Normalised increments, row i = time step, column k = spatial point.
+
+    ``values`` is one panel (n, K) (a 1-d array is K = 1) or a replicate
+    stack (R, n, K).
+    """
 
     values: np.ndarray
     delta_n: float
@@ -98,19 +101,19 @@ class IncrementPanel:
 
     @property
     def n_steps(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-2]
 
     @property
     def n_points(self) -> int:
-        return self.values.shape[1]
+        return self.values.shape[-1]
 
     def windows(self, n_lags: int) -> np.ndarray:
-        """Sliding windows of L consecutive increments, shape (n_win, K, L)."""
+        """Sliding windows of L consecutive increments, shape (..., n_win, K, L)."""
         if n_lags > self.n_steps:
             raise ValueError("panel too short for the requested lag count")
         # window i holds increments i..i+L-1 for every spatial point; the
-        # window axis is appended last, giving (n_win, K, L) directly
-        return sliding_window_view(self.values, n_lags, axis=0)
+        # window axis is appended last, giving (..., n_win, K, L) directly
+        return sliding_window_view(self.values, n_lags, axis=-2)
 
 
 def extract_increments(values, design: SamplingDesign, alpha: float,
@@ -118,49 +121,32 @@ def extract_increments(values, design: SamplingDesign, alpha: float,
     """Difference an observed path panel and rescale by the increment norm.
 
     ``values`` holds ``u(i delta_n, x_k)`` with shape (n_steps + 1, K) (a 1-d
-    array is treated as K = 1).  ``tau`` overrides the normalisation, e.g.
-    with a scheme-calibrated value; default is ``tau_n`` for ``(alpha, dim)``.
+    array is treated as K = 1), or a replicate stack (R, n_steps + 1, K).
+    ``tau`` overrides the normalisation, e.g. with a scheme-calibrated value;
+    default is ``tau_n`` for ``(alpha, dim)``.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim == 1:
         v = v[:, None]
-    if v.shape[0] != design.n_steps + 1:
+    if v.shape[-2] != design.n_steps + 1:
         raise ValueError(
-            f"path has {v.shape[0]} rows; design expects {design.n_steps + 1}"
+            f"path has {v.shape[-2]} rows; design expects {design.n_steps + 1}"
         )
-    if v.shape[1] != design.n_points:
+    if v.shape[-1] != design.n_points:
         raise ValueError("path column count does not match design points")
     scale = tau_n(NoiseParams(alpha, dim), design.delta_n) if tau is None else float(tau)
-    return IncrementPanel(values=np.diff(v, axis=0) / scale,
+    return IncrementPanel(values=np.diff(v, axis=-2) / scale,
                           delta_n=design.delta_n, tau=scale, alpha=alpha)
-
-
-def _kahan_cumsum(x: np.ndarray, block: int = 4096) -> np.ndarray:
-    """Left-to-right running sum with Kahan compensation across blocks.
-
-    Within a block the plain vectorised cumsum is used (its error over a few
-    thousand terms is negligible); block totals are carried with full
-    compensation, so panels with millions of rows keep ~1e-15 relative
-    accuracy at fixed, reproducible summation order.
-    """
-    out = np.empty_like(x)
-    total = np.zeros(x.shape[1:])
-    comp = np.zeros(x.shape[1:])
-    for start in range(0, x.shape[0], block):
-        seg = np.cumsum(x[start:start + block], axis=0)
-        out[start:start + block] = seg + total
-        y = seg[-1] - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return out
 
 
 def variation_functional(f: EvaluationFunction, incr: IncrementPanel,
                          design: SamplingDesign, t_grid) -> np.ndarray:
-    """Cumulative variation functional on ``t_grid``; shape (len(t_grid), M).
+    """Cumulative variation functional on ``t_grid``; shape (..., len(t_grid), M).
 
+    The leading axes are those of a replicate stack (none for one panel).
     Entries with ``t(n) < 1`` (grid times too small to fit one window) are 0.
+    Each grid time is one pairwise ``np.sum`` over its windows, so the cost
+    is O(n_win * len(t_grid)); callers pass a handful of grid times.
     """
     if incr.n_points != f.n_points:
         raise ValueError("increment panel and evaluation function disagree on K")
@@ -169,23 +155,26 @@ def variation_functional(f: EvaluationFunction, incr: IncrementPanel,
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if np.any(t_grid > design.horizon + 1e-12):
         raise ValueError("t_grid exceeds the design horizon")
-    ell = f.n_lags
-    wins = incr.windows(ell)
-    vals = f.evaluate(wins)  # (n_win, M)
-    csum = _kahan_cumsum(vals)
-    counts = np.floor(t_grid / incr.delta_n + 1e-9).astype(int) - ell + 1
-    counts = np.clip(counts, 0, vals.shape[0])
-    out = np.zeros((len(t_grid), f.n_outputs))
-    pos = counts > 0
-    out[pos] = incr.delta_n * csum[counts[pos] - 1]
+    wins = incr.windows(f.n_lags)
+    n_win = wins.shape[-3]
+    counts = np.floor(t_grid / incr.delta_n + 1e-9).astype(int) - f.n_lags + 1
+    counts = np.clip(counts, 0, n_win)
+    out = np.zeros(wins.shape[:-3] + (len(t_grid), f.n_outputs))
+    # one component at a time: stacking the M columns would copy the panel
+    for m, comp in enumerate(f.components):
+        vals = np.asarray(comp.evaluate(wins), dtype=float)  # (..., n_win)
+        for g, count in enumerate(counts):
+            if count > 0:
+                out[..., g, m] = incr.delta_n * np.sum(vals[..., :count], axis=-1)
+        del vals  # else two components' values are alive at the peak
     return out
 
 
 def power_variation(p: float, incr: IncrementPanel, design: SamplingDesign,
                     t_grid, point: int = 0) -> np.ndarray:
-    """Normalised p-th power variation of one observed series; shape (len(t_grid),)."""
+    """Normalised p-th power variation at one point; shape (..., len(t_grid))."""
     f = EvaluationFunction.abs_power(p, n_points=incr.n_points, k=point)
-    return variation_functional(f, incr, design, t_grid)[:, 0]
+    return variation_functional(f, incr, design, t_grid)[..., 0]
 
 
 def clt_statistic(v_n: np.ndarray, v_limit: np.ndarray, delta_n: float) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Limit covariance structures: pairing expansion, MC backend, limit paths."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from shevar.gaussian_limits import (
     MonteCarlo,
     SignedMonomial,
     _abs_power_rho,
+    _pairing_series,
     build_joint_cov,
     build_within_cov,
     limit_covariance,
@@ -414,6 +416,17 @@ class TestAbsPowerSeries:
         multi, law = _unit_series(
             EvaluationFunction([AbsMultipower((0.0, 1.5))], n_lags=2), 0.5)
         assert multi == pytest.approx(single, rel=1e-14)
+        assert law.mc_se[0, 0] == 0.0
+
+    def test_multi_lag_abs_power_is_closed_form(self):
+        # |z_1|^2 on a two-lag window has the single-lag series; the pairing
+        # loop over 2L-dimensional windows took seconds for the same value
+        single = _pairing_series(2, 2, 0.5, 10_000)[0]
+        t0 = time.perf_counter()
+        multi, law = _unit_series(
+            EvaluationFunction([AbsPower(2.0, l=1)], n_lags=2), 0.5)
+        assert time.perf_counter() - t0 < 1.0
+        assert multi == pytest.approx(single, rel=1e-12)
         assert law.mc_se[0, 0] == 0.0
 
     def test_mc_standard_error_matches_spread(self):

@@ -38,7 +38,7 @@ class TestConfig:
 
     def test_round_trip_lossless(self):
         cfg = default_config("clt").replace(**{
-            "model.alpha": 0.75, "design.points": [0.0, 0.25],
+            "driver": "spde", "model.alpha": 0.75, "design.points": [0.0, 0.25],
             "clt.normalization": "continuum"})
         again = parse_config(cfg.text())
         assert again.data == cfg.data
@@ -102,6 +102,18 @@ class TestConfig:
     def test_exact_driver_with_nonconstant_sigma_rejected(self, kind):
         with pytest.raises(ConfigError, match="model.sigma.kind"):
             default_config("simulate").replace(**{"model.sigma.kind": kind})
+
+    @pytest.mark.parametrize("kind,extra", [
+        ("clt", {}),
+        ("estimate", {}),
+        ("simulate", {}),
+        ("scaling", {"scaling.exact": True}),
+    ])
+    def test_exact_sampler_with_several_points_rejected(self, kind, extra):
+        # the exact sampler draws one point, so a second one would be dropped
+        with pytest.raises(ConfigError, match="design.points"):
+            default_config(kind).replace(**{"driver": "exact",
+                                            "design.points": [0.0, 0.5], **extra})
 
 
 class TestKolmogorovSmirnov:

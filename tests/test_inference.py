@@ -19,7 +19,7 @@ from shevar.inference import (
 )
 from shevar.kernels import NoiseParams, tau_n
 from shevar.simulate import RngStream, simulate_stationary_increments_batch
-from shevar.variations import SamplingDesign
+from shevar.variations import SamplingDesign, extract_increments
 
 
 def additive_path(alpha, n, sigma0=1.0, stream=0, horizon=1.0):
@@ -200,6 +200,19 @@ class TestIntegratedVarianceInterval:
         after = _pairing_series.cache_info()
         assert after.misses == before.misses
         assert after.hits == before.hits + 2
+
+    def test_panel_matches_path(self):
+        u, design = additive_path(0.5, 2 ** 10, stream=403)
+        panel = extract_increments(u, design, alpha=0.5)
+        assert (integrated_variance_interval(panel, design, alpha=0.5)
+                == integrated_variance_interval(u, design, alpha=0.5))
+
+    def test_panel_with_other_step_rejected(self):
+        u, design = additive_path(0.5, 2 ** 10, stream=404)
+        panel = extract_increments(u, design, alpha=0.5)
+        coarse = SamplingDesign(delta_n=2.0 * design.delta_n, horizon=design.horizon)
+        with pytest.raises(ValueError, match="delta_n"):
+            integrated_variance_interval(panel, coarse, alpha=0.5)
 
 
 def test_report_rejects_inconsistent_interval():

@@ -2,8 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from shevar.kernels import (
@@ -18,7 +21,6 @@ from shevar.kernels import (
     gamma_series_tail,
     gamma_sq_tail_bound,
     heat_kernel,
-    pi_abs_mass_estimate,
     pi_mass,
     riesz_constant,
     sum_gamma_sq,
@@ -181,6 +183,19 @@ class TestGammaR:
                 direct = 0.5 * ((r + 1.0) ** b - 2.0 * r ** b + (r - 1.0) ** b)
                 assert gamma_r(alpha, r) == pytest.approx(direct, rel=5e-11)
 
+    @settings(max_examples=60, deadline=None)
+    @given(alpha=st.floats(min_value=1e-3, max_value=1.0))
+    def test_switch_at_lag_1000(self, alpha):
+        g = gamma_r(alpha, np.arange(990, 1011))
+        assert np.all(g < 0)
+        assert np.all(np.diff(np.abs(g)) < 0)
+        # the direct form in 40 digits: in doubles its cancellation costs up
+        # to about 1e-8 relative at this lag when alpha is small
+        b, r = 1 - mpmath.mpf(alpha) / 2, mpmath.mpf(1001)
+        with mpmath.workdps(40):
+            direct = float(((r + 1) ** b - 2 * r ** b + (r - 1) ** b) / 2)
+        assert gamma_r(alpha, 1001) == pytest.approx(direct, rel=1e-9)
+
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
     def test_decay_exponent(self, alpha):
         # |Gamma_r| ~ r^-(1 + alpha/2): log-log slope within 0.05
@@ -244,18 +259,3 @@ class TestPiMass:
             pi_mass(1.0, 0)
         with pytest.raises(ValueError):
             pi_mass(0.5, -2)
-
-
-class TestAbsMassBounds:
-    """Qualitative checks of the total-variation bounds (coarse cubature)."""
-
-    def test_uniform_boundedness(self):
-        masses = [pi_abs_mass_estimate(0.5, r, h, n_grid=24)
-                  for r in (0, 1, 4) for h in (0.0, 1.0, 4.0)]
-        assert all(m < 4.0 for m in masses)
-        assert all(m > 0.0 for m in masses)
-
-    def test_tail_mass_decays(self):
-        full = pi_abs_mass_estimate(0.5, 1, 0.5, n_grid=24)
-        tail = pi_abs_mass_estimate(0.5, 1, 0.5, t_cut=8.0, n_grid=24)
-        assert tail < 0.25 * full

@@ -79,6 +79,19 @@ class TestExtractIncrements:
         panel = extract_increments(np.arange(11.0), d, alpha=0.5, tau=2.0)
         assert np.allclose(panel.values, 0.5)
 
+    def test_replicate_stack(self):
+        rng = np.random.default_rng(4)
+        d = SamplingDesign(delta_n=0.1, horizon=1.0, points=(0.0, 0.5))
+        u = rng.standard_normal((3, 11, 2))
+        panel = extract_increments(u, d, alpha=0.5, tau=2.0)
+        assert panel.values.shape == (3, 10, 2)
+        assert (panel.n_steps, panel.n_points) == (10, 2)
+        for i in range(3):
+            row = extract_increments(u[i], d, alpha=0.5, tau=2.0)
+            assert np.array_equal(panel.values[i], row.values)
+        with pytest.raises(ValueError):
+            extract_increments(u[:, :7], d, alpha=0.5)
+
 
 class TestVariationFunctional:
     def test_riemann_of_ones(self):
@@ -171,6 +184,35 @@ class TestVariationFunctional:
         d = SamplingDesign(delta_n=0.1, horizon=1.0)
         panel = toy_panel(np.zeros(10), delta=0.1)
         assert power_variation(2.0, panel, d, [1.0])[0] == 0.0
+
+    def test_replicate_stack_matches_rows(self):
+        rng = np.random.default_rng(12)
+        d = SamplingDesign(delta_n=0.01, horizon=1.0, points=(0.0, 0.5), n_lags=2)
+        vals = rng.standard_normal((5, 100, 2))
+        f = EvaluationFunction(
+            [AbsPower(1.5, k=0, l=1), SignedMonomial((1, 1), k=1), AbsPower(2.0, k=1)],
+            n_points=2, n_lags=2)
+        t = [0.005, 0.37, 0.5, 1.0]
+        stack = variation_functional(f, toy_panel(vals, delta=0.01), d, t)
+        assert stack.shape == (5, 4, 3)
+        for i in range(5):
+            row = variation_functional(f, toy_panel(vals[i], delta=0.01), d, t)
+            assert np.array_equal(stack[i], row)
+        assert np.all(stack[:, 0] == 0.0)  # no window fits before t = 2 delta
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_equals_one_pairwise_sum(self, p):
+        # V^n_f(t) is delta * np.sum of f over the first t(n) windows, to the
+        # bit: the harness and the estimators have always summed that way
+        n, horizon = 1000, 1.7
+        delta = horizon / n
+        d = SamplingDesign(delta_n=delta, horizon=horizon)
+        z = np.random.default_rng(13).standard_normal(n)
+        got = power_variation(p, toy_panel(z, delta=delta), d, [horizon, 0.37 * horizon])
+        vals = np.abs(z) ** p
+        count = int(np.floor(0.37 * horizon / delta + 1e-9))
+        assert got[0] == delta * np.sum(vals)
+        assert got[1] == delta * np.sum(vals[:count])
 
 
 class TestLlnConvergence:

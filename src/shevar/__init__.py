@@ -15,7 +15,6 @@ Subpackages by task:
 __version__ = "0.1.0"
 
 from .kernels import (
-    AutocovarianceTable,
     NoiseParams,
     QuadratureError,
     WhiteNoiseCase,
@@ -23,7 +22,6 @@ from .kernels import (
     clt_constant,
     gamma_partial_sum_identity,
     gamma_r,
-    heat_kernel,
     pi_mass,
     riesz_constant,
     sum_gamma_sq,
@@ -34,7 +32,6 @@ from .gaussian_limits import (
     AbsPower,
     Custom,
     EvaluationFunction,
-    GaussianBlock,
     InvalidShift,
     LimitLaw,
     MonteCarlo,
@@ -54,7 +51,6 @@ from .simulate import (
     RngStream,
     SigmaAffinePlus,
     SigmaConstant,
-    SigmaCustom,
     SigmaLinear,
     U0Constant,
     U0SmoothPeriodic,

@@ -28,7 +28,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,8 +150,7 @@ class Custom:
     """User-supplied component; ``fn`` maps (..., K, L) windows to (...,).
 
     ``even`` and ``degree`` (polynomial growth bound) are declared, not
-    derived; evenness is spot-checked when the component enters CLT
-    computations.  Set ``homogeneous`` only if ``fn(c z) == c^degree fn(z)``.
+    derived.  Set ``homogeneous`` only if ``fn(c z) == c^degree fn(z)``.
     """
 
     fn: object
@@ -189,21 +187,13 @@ class EvaluationFunction:
             raise ValueError("need at least one component")
 
     @classmethod
-    def abs_power(cls, p: float, n_points: int = 1, n_lags: int = 1,
-                  k: int = 0, l: int = 0) -> "EvaluationFunction":
-        return cls([AbsPower(p, k=k, l=l)], n_points=n_points, n_lags=n_lags)
-
-    @classmethod
-    def quadratic(cls, n_points: int = 1, k: int = 0) -> "EvaluationFunction":
-        return cls([AbsPower(2.0, k=k)], n_points=n_points)
+    def abs_power(cls, p: float, n_points: int = 1) -> "EvaluationFunction":
+        """``|z|^p`` of the first point's increment, on one-lag windows."""
+        return cls([AbsPower(p)], n_points=n_points)
 
     @property
     def n_outputs(self) -> int:
         return len(self.components)
-
-    @property
-    def row_map(self):
-        return tuple(c.k for c in self.components)
 
     @property
     def is_even(self) -> bool:
@@ -237,31 +227,19 @@ class EvaluationFunction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GaussianBlock:
-    """Covariance of one window (shift is None) or of two windows r apart.
+def _row_blocks(alpha: float, n_lags: int, r: int = 0):
+    """One row's window covariance blocks at unit variance, ``(within, cross)``.
 
-    Flattening convention: index (k, l) -> k * L + l; for joint blocks the
-    second window occupies indices KL..2KL-1.
+    ``within[l1, l2] = Gamma_|l1 - l2|`` and, for two windows r steps apart,
+    ``cross[l1, l2] = Gamma_|r + l1 - l2|`` (``cross`` is ``within`` at
+    r = 0).  Each block is Toeplitz in the 2L - 1 offsets ``l1 - l2``, and
+    only those lags are evaluated.
     """
-
-    w: np.ndarray
-    cov: np.ndarray
-    shift: int | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.cov.shape[0]
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.cov)[0])
-
-    def cholesky(self, jitter: float = 1e-12):
-        return _safe_cholesky(self.cov, jitter, joint=self.shift is not None)
-
-
-def _gamma_vec(alpha: float, max_lag: int) -> np.ndarray:
-    return np.atleast_1d(gamma_r(alpha, np.arange(max_lag + 1)))
+    span = np.arange(1 - n_lags, n_lags)
+    offsets = np.arange(n_lags)[:, None] - np.arange(n_lags)[None, :] + n_lags - 1
+    within = gamma_r(alpha, np.abs(span))[offsets]
+    cross = within if r == 0 else gamma_r(alpha, np.abs(r + span))[offsets]
+    return within, cross
 
 
 def _check_w(w, n_points) -> np.ndarray:
@@ -273,47 +251,43 @@ def _check_w(w, n_points) -> np.ndarray:
     return w
 
 
-def build_within_cov(f: EvaluationFunction, w, alpha: float) -> GaussianBlock:
-    """KL x KL covariance of one window: block diagonal over spatial points."""
+def build_within_cov(f: EvaluationFunction, w, alpha: float) -> np.ndarray:
+    """KL x KL covariance of one window: block diagonal over spatial points.
+
+    Flattening convention: index (k, l) -> k * L + l.
+    """
     w = _check_w(w, f.n_points)
-    ell = f.n_lags
-    gam = _gamma_vec(alpha, ell - 1) if ell > 1 else np.array([1.0])
-    lag_idx = np.abs(np.arange(ell)[:, None] - np.arange(ell)[None, :])
-    block = gam[lag_idx]
-    cov = np.kron(np.diag(w), block)
-    return GaussianBlock(w=w, cov=cov, shift=None)
+    within, _ = _row_blocks(alpha, f.n_lags)
+    return np.kron(np.diag(w), within)
 
 
-def build_joint_cov(f: EvaluationFunction, w, r: int, alpha: float) -> GaussianBlock:
-    """2KL x 2KL joint covariance of two windows separated by r >= 1 steps."""
+def build_joint_cov(f: EvaluationFunction, w, r: int, alpha: float) -> np.ndarray:
+    """2KL x 2KL joint covariance of two windows separated by r >= 1 steps.
+
+    The second window occupies indices KL..2KL-1.
+    """
     if r < 1:
         raise ValueError("shift r must be >= 1; use build_within_cov for r = 0")
     w = _check_w(w, f.n_points)
-    ell = f.n_lags
-    gam = _gamma_vec(alpha, ell - 1 + r)
-    lag_idx = np.abs(np.arange(ell)[:, None] - np.arange(ell)[None, :])
-    within = gam[lag_idx]
-    cross = gam[np.abs(np.arange(ell)[:, None] - np.arange(ell)[None, :] + r)]
+    within, cross = _row_blocks(alpha, f.n_lags, r)
     a = np.kron(np.diag(w), within)
     b = np.kron(np.diag(w), cross)
-    cov = np.block([[a, b], [b.T, a]])
-    return GaussianBlock(w=w, cov=cov, shift=int(r))
+    return np.block([[a, b], [b.T, a]])
 
 
-def _safe_cholesky(cov: np.ndarray, jitter: float = 1e-12, joint: bool = False):
+def _safe_cholesky(cov: np.ndarray, joint: bool = False):
     """Lower Cholesky factor, tolerating exactly-degenerate (zero) rows.
 
-    Jitter is scaled as ``jitter * trace / dim`` and added to the diagonal of
-    the non-degenerate submatrix only.
+    A jitter of ``1e-12 * trace / dim`` is added to the diagonal of the
+    non-degenerate submatrix only.
     """
-    n = cov.shape[0]
     diag = np.diag(cov)
     active = diag > 0
     out = np.zeros_like(cov)
     if not np.any(active):
         return out
     sub = cov[np.ix_(active, active)]
-    eps = jitter * float(np.trace(sub)) / sub.shape[0]
+    eps = 1e-12 * float(np.trace(sub)) / sub.shape[0]
     try:
         chol = np.linalg.cholesky(sub + eps * np.eye(sub.shape[0]))
     except np.linalg.LinAlgError as exc:
@@ -348,7 +322,6 @@ class MonteCarlo:
 
     n_pairs: int = 200_000
     seed: int = DEFAULT_MC_SEED
-    tol: float | None = None
     r_max_series: int = 128
 
 
@@ -364,6 +337,11 @@ def _mc_base_draws(mc: MonteCarlo, tag: str, dim: int) -> np.ndarray:
     return gen.standard_normal((mc.n_pairs, dim))
 
 
+def _check_method(method: str) -> None:
+    if method not in ("auto", "mc"):
+        raise ValueError(f"method must be 'auto' or 'mc', got {method!r}")
+
+
 def _mc_mean(values: np.ndarray):
     n = values.shape[0]
     mean = float(np.mean(values))
@@ -374,17 +352,6 @@ def _mc_mean(values: np.ndarray):
 # ---------------------------------------------------------------------------
 # mu_f
 # ---------------------------------------------------------------------------
-
-
-def _within_row_cov(n_lags: int, alpha: float | None, wk: float) -> np.ndarray:
-    """Covariance of one row's window: ``Gamma_|l1-l2| * wk``."""
-    if n_lags == 1:
-        return np.array([[wk]])
-    if alpha is None:
-        raise ValueError("alpha is required for windows with more than one lag")
-    gam = _gamma_vec(alpha, n_lags - 1)
-    lag_idx = np.abs(np.arange(n_lags)[:, None] - np.arange(n_lags)[None, :])
-    return gam[lag_idx] * wk
 
 
 def _mu_component_closed(comp, f, w, alpha):
@@ -406,7 +373,7 @@ def _mu_component_closed(comp, f, w, alpha):
             return abs_moment(e) * wk ** (e / 2.0)  # E[Z^e] = (e-1)!! for even e
         if alpha is None:
             return None
-        return monomial_moment(_within_row_cov(f.n_lags, alpha, wk), mono)
+        return monomial_moment(_row_blocks(alpha, f.n_lags)[0] * wk, mono)
     # single-lag absolute multipower reduces to an absolute moment
     if isinstance(comp, AbsMultipower):
         nz = [e for e in comp.exponents if e]
@@ -424,10 +391,11 @@ def mu_f(f: EvaluationFunction, w, alpha: float | None = None,
 
     ``alpha`` is only needed when a polynomial component couples several lags
     (the within-window correlation then matters).  ``method`` is "auto"
-    (closed form when available, else MC), "closed" or "mc".  With
-    ``return_se`` the Monte Carlo standard errors are returned alongside
-    (zero for closed-form entries).
+    (closed form when available, else MC) or "mc".  With ``return_se`` the
+    Monte Carlo standard errors are returned alongside (zero for closed-form
+    entries).
     """
+    _check_method(method)
     mc = mc or MonteCarlo()
     w = _check_w(w, f.n_points)
     values = np.zeros(f.n_outputs)
@@ -437,27 +405,19 @@ def mu_f(f: EvaluationFunction, w, alpha: float | None = None,
         closed = None if method == "mc" else _mu_component_closed(comp, f, w, alpha)
         if closed is not None:
             values[m] = closed
-        elif method == "closed":
-            raise ValueError(f"component {m} has no closed-form mean")
         else:
             mc_idx.append(m)
     if mc_idx:
         if alpha is None and f.n_lags > 1:
             raise ValueError("alpha is required for MC over multi-lag windows")
-        block = build_within_cov(f, w, alpha if alpha is not None else 1.0)
-        chol = block.cholesky()
+        chol = _safe_cholesky(build_within_cov(f, w, alpha if alpha is not None else 1.0))
         tag = f"mu:{f.n_points}x{f.n_lags}:{mc.n_pairs}"
-        base = _mc_base_draws(mc, tag, block.dim)
+        base = _mc_base_draws(mc, tag, f.n_points * f.n_lags)
         z = (base @ chol.T).reshape(mc.n_pairs, f.n_points, f.n_lags)
         for m in mc_idx:
             comp = f.components[m]
             vals = 0.5 * (comp.evaluate(z) + comp.evaluate(-z))
             values[m], ses[m] = _mc_mean(vals)
-            if mc.tol is not None and ses[m] > mc.tol:
-                warnings.warn(
-                    f"mu_f component {m}: MC standard error {ses[m]:.2e} "
-                    f"exceeds tolerance {mc.tol:.2e}", stacklevel=2,
-                )
     if return_se:
         return values, ses
     return values
@@ -538,14 +498,12 @@ def _rho_closed(f, m1, m2, r, w, alpha):
         (p, l1), (q, l2) = pl1, pl2
         c = float(gamma_r(alpha, abs(r + l1 - l2)))
         return wk ** ((p + q) / 2.0) * _abs_power_rho(p, q, c)
-    ell = f.n_lags
-    within = _within_row_cov(ell, alpha, wk)
+    within, cross = _row_blocks(alpha, f.n_lags, r)
+    within, cross = within * wk, cross * wk
     if r == 0:
         merged = tuple(a + b for a, b in zip(mono1, mono2))
         joint = monomial_moment(within, merged)
     else:
-        gam = _gamma_vec(alpha, ell - 1 + r)
-        cross = gam[np.abs(np.arange(ell)[:, None] - np.arange(ell)[None, :] + r)] * wk
         cov = np.block([[within, cross], [cross.T, within]])
         joint = monomial_moment(cov, tuple(mono1) + tuple(mono2))
     return joint - monomial_moment(within, mono1) * monomial_moment(within, mono2)
@@ -564,10 +522,9 @@ def _rho_mc_draws(f: EvaluationFunction, mc: MonteCarlo) -> np.ndarray:
 def _rho_mc_products(f, m1, m2, r, w, alpha, base) -> np.ndarray:
     """Per-draw centred products; their sum over ``n - 1`` estimates rho(r)."""
     if r == 0:
-        block = build_within_cov(f, w, alpha)
+        chol = _safe_cholesky(build_within_cov(f, w, alpha))
     else:
-        block = build_joint_cov(f, w, r, alpha)
-    chol = block.cholesky()
+        chol = _safe_cholesky(build_joint_cov(f, w, r, alpha), joint=True)
     kl = f.n_points * f.n_lags
     if r == 0:
         z = base[:, :kl] @ chol.T
@@ -598,7 +555,10 @@ def rho(f: EvaluationFunction, m1: int, m2: int, r: int, w,
     components (pairing expansion) and for absolute powers ``|z|^p`` at any
     real p (Nabeya's closed form); antithetic CRN Monte Carlo covers only
     the rest (``Custom`` and multi-lag non-polynomial components).
+    ``method`` is "auto" or "mc" (Monte Carlo even where a closed form
+    exists).
     """
+    _check_method(method)
     mc = mc or MonteCarlo()
     w = _check_w(w, f.n_points)
     if r < 0 or r != int(r):
@@ -607,22 +567,15 @@ def rho(f: EvaluationFunction, m1: int, m2: int, r: int, w,
     if f.components[m1].k != f.components[m2].k:
         return (0.0, 0.0) if return_se else 0.0
 
-    if method != "mc":
+    if method == "auto":
         closed = _rho_closed(f, m1, m2, r, w, alpha)
         if closed is not None:
             return (closed, 0.0) if return_se else closed
-        if method == "closed":
-            raise ValueError("no closed form for this component pair")
 
     prod = _rho_mc_products(f, m1, m2, r, w, alpha, _rho_mc_draws(f, mc))
     n = prod.shape[0]
     value = float(np.sum(prod) / (n - 1))
     se = float(np.std(prod, ddof=1) / math.sqrt(n))
-    if mc.tol is not None and se > mc.tol:
-        warnings.warn(
-            f"rho({m1},{m2},r={r}): MC standard error {se:.2e} exceeds "
-            f"tolerance {mc.tol:.2e}", stacklevel=2,
-        )
     return (value, se) if return_se else value
 
 
@@ -831,11 +784,6 @@ def _series_coefficient(f, m1, m2, unit_w, alpha, r_max, mc):
             ratio = max(ratio, abs(float(np.sum(prod)) / (n - 1)) / g2)
     total = float(np.sum(acc) / (n - 1))
     se = float(np.std(acc, ddof=1) / math.sqrt(n))
-    if mc.tol is not None and se > mc.tol:
-        warnings.warn(
-            f"series coefficient ({m1},{m2}): MC standard error {se:.2e} "
-            f"exceeds tolerance {mc.tol:.2e}", stacklevel=3,
-        )
     return total, ratio * gamma_sq_tail_bound(alpha, r_stop), se, r_stop
 
 

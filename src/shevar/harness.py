@@ -32,7 +32,6 @@ from .inference import (
     integrated_variance_interval,
 )
 from .kernels import (
-    AutocovarianceTable,
     NoiseParams,
     abs_moment,
     gamma_partial_sum_identity,
@@ -340,6 +339,14 @@ def _validate(data: dict) -> dict:
     if exact_sampler and len(out.get("design.points", [0.0])) > 1:
         raise ConfigError("the exact sampler draws one point: it needs a single "
                           "design.points entry")
+    if driver == "exact" and out.get("clt.normalization") == "continuum":
+        raise ConfigError("clt.normalization = continuum applies to driver = spde "
+                          "only; the exact sampler is normalised by tau_n")
+    if out.get("design.lags", 1) != 1:
+        raise ConfigError("design.lags must be 1: every runner uses one-lag windows")
+    if out.get("model.dim", 1) != 1:
+        raise ConfigError("model.dim must be 1: both drivers simulate one space "
+                          "dimension")
     return out
 
 
@@ -382,17 +389,13 @@ def load_config(path, base: Config | None = None) -> Config:
 # ---------------------------------------------------------------------------
 
 
-def normal_cdf(x):
-    return ndtr(np.asarray(x, dtype=float))
-
-
-def ks_statistic(sample, cdf=None) -> float:
-    """One-sample Kolmogorov-Smirnov statistic against ``cdf`` (default N(0,1))."""
+def ks_statistic(sample) -> float:
+    """One-sample Kolmogorov-Smirnov statistic against N(0, 1)."""
     x = np.sort(np.asarray(sample, dtype=float))
     n = len(x)
     if n == 0:
         raise ValueError("empty sample")
-    u = normal_cdf(x) if cdf is None else np.asarray(cdf(x), dtype=float)
+    u = ndtr(x)
     i = np.arange(1, n + 1)
     d_plus = np.max(i / n - u)
     d_minus = np.max(u - (i - 1) / n)
@@ -627,8 +630,8 @@ def run_identities(cfg: Config, workers: int | None = None) -> ExperimentReport:
         # value is recovered by adding the exact telescoped tail
         add("half_sum", a, abs(total + gamma_series_tail(a, big_r) - 0.5),
             tol_half, {"r_max": big_r})
-        table = AutocovarianceTable(alpha=a, values=g[:257])
-        eig_min = float(np.linalg.eigvalsh(table.toeplitz(256))[0])
+        idx = np.abs(np.arange(256)[:, None] - np.arange(256)[None, :])
+        eig_min = float(np.linalg.eigvalsh(g[idx])[0])
         add("toeplitz_psd", a, max(0.0, -eig_min), -cfg["tolerances.psd_min"],
             {"min_eigenvalue": eig_min})
 
@@ -684,7 +687,7 @@ def run_lln(cfg: Config, workers: int | None = None) -> ExperimentReport:
         design = SamplingDesign(delta_n=1.0 / n, horizon=1.0)
         z = simulate_stationary_increments_batch(
             alpha, n, _streams(cfg, n_rep, salt=rung))
-        panel = IncrementPanel(z[..., None], design.delta_n, tau=1.0, alpha=alpha)
+        panel = IncrementPanel(z[..., None], design.delta_n)
         v_n = variation_functional(f, panel, design, [1.0])[:, 0]
         for m, p in enumerate(powers):
             v = v_n[:, m]
@@ -744,12 +747,12 @@ def run_clt(cfg: Config, workers: int | None = None) -> ExperimentReport:
 
     if driver == "exact":
         z = simulate_stationary_increments_batch(alpha, n, _streams(cfg, n_rep))
-        panel = IncrementPanel(z[..., None], delta, tau=1.0, alpha=alpha)
+        panel = IncrementPanel(z[..., None], delta)
         center = np.array([m_p * half * delta, m_p * design.horizon])
         c_full = s_factor * design.horizon
     else:
         model = _model_from(cfg)
-        model.validate(for_clt=True)
+        model.validate()
         paths = _sample_paths(model, design, driver, _streams(cfg, n_rep),
                               workers).drop_burn_in()
         if cfg["clt.normalization"] == "scheme":
@@ -828,10 +831,14 @@ def run_estimation(cfg: Config, workers: int | None = None) -> ExperimentReport:
     if estimator == "sigma0":
         p = cfg["functional.p"]
         truth = cfg["model.sigma.value"] if exact else getattr(model.sigma, "sigma0", None)
+        # the scheme's increments fall short of tau_n at finite resolution, so
+        # they are normalised by the scheme's own variance, as in run_clt
+        tau = None if exact else math.sqrt(scheme_increment_variance(
+            alpha, design.delta_n, design.spatial_modes))
         for i in range(n_rep):
             try:
                 rep = estimate_sigma0(p, series[i], design, alpha, level=level,
-                                      force_unit_denominator=exact)
+                                      force_unit_denominator=exact, tau=tau)
                 rows.append({"replicate": i, "estimate": rep.estimate,
                              "se": rep.se, "ci_low": rep.ci_low,
                              "ci_high": rep.ci_high, "error": ""})

@@ -16,14 +16,13 @@ the harness.  Reports carry that caveat in their diagnostics.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
 import numpy as np
 
-from .gaussian_limits import EvaluationFunction, MonteCarlo, limit_covariance
+from .gaussian_limits import EvaluationFunction, limit_covariance
 from .kernels import abs_moment
 from .variations import (
     IncrementPanel,
@@ -39,6 +38,12 @@ class DegeneratePath(RuntimeError):
 
 class InconsistentScaling(RuntimeError):
     """Two-scale increment ratio incompatible with any alpha in (0, 1]."""
+
+
+# the two-scale ratio may leave (1, 2) by this much before it is rejected
+_RATIO_TOLERANCE = 0.05
+# blocks of the blockwise standard error of the alpha estimator
+_N_BLOCKS = 8
 
 
 @dataclass
@@ -60,42 +65,24 @@ class EstimateReport:
         if not (self.ci_low <= self.estimate <= self.ci_high):
             raise ValueError("confidence interval must contain the estimate")
 
-    def to_json(self) -> str:
-        payload = {
-            "estimate": self.estimate,
-            "se": self.se,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "level": self.level,
-            "n": self.n,
-            "delta_n": self.delta_n,
-            "diagnostics": self.diagnostics,
-        }
-        return json.dumps(payload, sort_keys=True)
-
 
 def normal_quantile(q: float) -> float:
     return NormalDist().inv_cdf(q)
 
 
 def confidence_interval(point: float, c_hat: float, delta_n: float,
-                        level: float, transform_deriv: float = 1.0,
-                        n: int | None = None) -> tuple:
-    """Delta-method interval ``point +- z * sqrt(delta_n * c_hat) / |dg|``.
+                        level: float) -> tuple:
+    """Normal interval ``point +- z * sqrt(delta_n * c_hat)``.
 
-    ``c_hat`` is the plug-in limit variance of the rescaled statistic and
-    ``transform_deriv`` the derivative of the reparameterisation applied to
-    the raw statistic (1 for none).  ``c_hat = 0`` collapses the interval to
-    the point.
+    ``c_hat`` is the plug-in limit variance of the rescaled statistic.
+    ``c_hat = 0`` collapses the interval to the point.
     """
     if not (0.0 < level < 1.0):
         raise ValueError("level must lie in (0, 1)")
     if not math.isfinite(c_hat) or c_hat < 0:
         raise ValueError(f"invalid plug-in variance {c_hat!r}")
-    if transform_deriv == 0:
-        raise ValueError("transform derivative must be nonzero")
     z = normal_quantile(0.5 * (1.0 + level))
-    hw = z * math.sqrt(delta_n * c_hat) / abs(transform_deriv)
+    hw = z * math.sqrt(delta_n * c_hat)
     return point - hw, point + hw
 
 
@@ -122,32 +109,27 @@ def spot_variance(z: np.ndarray, window: int | None = None,
 
 
 def _plugin_limit_variance(z: np.ndarray, p: float, alpha: float,
-                           delta_n: float, horizon: float,
-                           window: int | None = None,
-                           r_max: int = 10_000,
-                           mc: MonteCarlo | None = None):
+                           delta_n: float, horizon: float):
     """Plug-in C(T) for f = |z|^p from the observed normalised increments."""
-    w_hat = spot_variance(z, window=window, delta_n=delta_n)
+    w_hat = spot_variance(z, delta_n=delta_n)
     s_grid = delta_n * np.arange(len(w_hat) + 1)
     w_path = np.concatenate([w_hat, w_hat[-1:]])[:, None]
     f = EvaluationFunction.abs_power(p)
-    law = limit_covariance(f, s_grid, w_path, np.array([horizon]), alpha,
-                           r_max=r_max, mc=mc)
-    return float(law.c_path[0, 0, 0]), w_hat, law
+    law = limit_covariance(f, s_grid, w_path, np.array([horizon]), alpha)
+    return float(law.c_path[0, 0, 0]), law
 
 
 def estimate_sigma0(p: float, series, design: SamplingDesign, alpha: float,
-                    level: float = 0.95, window: int | None = None,
-                    force_unit_denominator: bool = False,
-                    tau: float | None = None,
-                    mc: MonteCarlo | None = None) -> EstimateReport:
+                    level: float = 0.95, force_unit_denominator: bool = False,
+                    tau: float | None = None) -> EstimateReport:
     """Volatility estimator ``(V^n_p / (m_p delta_n sum_i |u(i delta)|^p))^(1/p)``.
 
     ``series`` holds the observations ``u(i delta_n, x)``, i = 0..n.  For the
     linear coefficient the p-th power of the estimate is weakly consistent
     for ``sigma0^p``; for a constant coefficient pass
     ``force_unit_denominator=True`` to replace the denominator by
-    ``m_p * T``.  ``tau`` overrides the increment normalisation.  The
+    ``m_p * T``.  ``tau`` overrides the increment normalisation ``tau_n``,
+    e.g. with the spectral scheme's own increment scale.  The
     standard error studentises the numerator by the plug-in limit variance
     and maps through the p-th root by the delta method.
     """
@@ -170,8 +152,8 @@ def estimate_sigma0(p: float, series, design: SamplingDesign, alpha: float,
 
     est_p = v_np / denom
     sigma0 = est_p ** (1.0 / p)
-    c_hat, w_hat, law = _plugin_limit_variance(
-        panel.values[:, 0], p, alpha, design.delta_n, horizon, window=window, mc=mc)
+    c_hat, law = _plugin_limit_variance(
+        panel.values[:, 0], p, alpha, design.delta_n, horizon)
     se_p = math.sqrt(design.delta_n * c_hat) / denom
     guard = max(sigma0 ** (p - 1.0), 1e-12)
     se = se_p / (p * guard)
@@ -191,21 +173,19 @@ def estimate_sigma0(p: float, series, design: SamplingDesign, alpha: float,
             "plugin_variance": c_hat,
             "series_r_max": law.r_max,
             "series_tail_bound": float(law.tail_bound[0, 0]),
-            "spot_window": int(math.ceil(design.delta_n ** -0.5)) if window is None else window,
+            "spot_window": int(math.ceil(design.delta_n ** -0.5)),
             "ci_construction": "heuristic plug-in (validated empirically)",
         },
     )
     return report
 
 
-def estimate_alpha(series, design: SamplingDesign, level: float = 0.95,
-                   ratio_tolerance: float = 0.05,
-                   n_blocks: int = 8) -> EstimateReport:
+def estimate_alpha(series, design: SamplingDesign, level: float = 0.95) -> EstimateReport:
     """Noise-exponent estimator from the two-scale squared-increment ratio.
 
     The mean squared increment over steps ``2 delta`` and ``delta`` has ratio
     ``2^(1 - alpha/2)``, so ``alpha_hat = 2 (1 - log2 ratio)``.  The ratio
-    must fall inside ``(1, 2)`` up to ``ratio_tolerance`` (a deterministic
+    must fall inside ``(1, 2)`` up to a tolerance of 0.05 (a deterministic
     C^1 path gives 4, pure white noise gives 1); estimates leaking slightly
     outside ``(0, 1]`` are clamped and flagged.  Standard errors come from
     blockwise subestimates.
@@ -220,7 +200,7 @@ def estimate_alpha(series, design: SamplingDesign, level: float = 0.95,
     if msq1 <= 0:
         raise DegeneratePath("constant path: squared increments vanish")
     ratio = msq2 / msq1
-    if not (1.0 - ratio_tolerance < ratio < 2.0 + ratio_tolerance):
+    if not (1.0 - _RATIO_TOLERANCE < ratio < 2.0 + _RATIO_TOLERANCE):
         raise InconsistentScaling(
             f"two-scale ratio {ratio:.4f} outside (1, 2); the path does not "
             "scale like any alpha in (0, 1]"
@@ -230,7 +210,7 @@ def estimate_alpha(series, design: SamplingDesign, level: float = 0.95,
     alpha_est = float(np.clip(alpha_hat, 0.01, 1.0))
 
     # blockwise ratios for a simple standard error
-    blocks = np.array_split(np.arange(len(d1)), n_blocks)
+    blocks = np.array_split(np.arange(len(d1)), _N_BLOCKS)
     sub = []
     for idx in blocks:
         if len(idx) < 3:
@@ -261,10 +241,7 @@ def estimate_alpha(series, design: SamplingDesign, level: float = 0.95,
 
 
 def integrated_variance_interval(series_or_panel, design: SamplingDesign,
-                                 alpha: float, level: float = 0.95,
-                                 tau: float | None = None,
-                                 window: int | None = None,
-                                 mc: MonteCarlo | None = None):
+                                 alpha: float, level: float = 0.95):
     """CI for the integrated conditional variance ``int_0^T sigma^2(u(s, x)) ds``.
 
     Uses the quadratic variation functional centered by nothing (it is the
@@ -274,14 +251,13 @@ def integrated_variance_interval(series_or_panel, design: SamplingDesign,
     if isinstance(series_or_panel, IncrementPanel):
         panel = series_or_panel
     else:
-        panel = extract_increments(series_or_panel, design, alpha, tau=tau)
+        panel = extract_increments(series_or_panel, design, alpha)
     z = panel.values[:, 0]
     delta = panel.delta_n
     horizon = len(z) * delta
     # rejects a panel off the design's step or longer than its horizon
     v = float(power_variation(2.0, panel, design, [horizon])[0])
-    c_hat, _, law = _plugin_limit_variance(z, 2.0, alpha, delta, horizon,
-                                           window=window, mc=mc)
+    c_hat, law = _plugin_limit_variance(z, 2.0, alpha, delta, horizon)
     lo, hi = confidence_interval(v, c_hat, delta, level)
     return EstimateReport(
         estimate=v, se=math.sqrt(delta * c_hat), ci_low=lo, ci_high=hi,

@@ -111,32 +111,6 @@ def abs_moment(p: float) -> float:
     return 2.0 ** (p / 2.0) * math.gamma((p + 1.0) / 2.0) / math.sqrt(math.pi)
 
 
-def heat_kernel(t, x, dim: int | None = None):
-    """Gaussian heat kernel ``(2 pi t)^(-d/2) exp(-|x|^2 / (2t))`` for t > 0, else 0.
-
-    ``x`` may be a scalar (with ``dim`` defaulting to 1) or a length-d vector.
-    ``t`` may be an array; non-positive entries map to 0.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        d = 1 if dim is None else dim
-        sq = x ** 2
-    else:
-        d = x.shape[-1] if dim is None else dim
-        sq = np.sum(x ** 2, axis=-1)
-    t = np.asarray(t, dtype=float)
-    shape = np.broadcast(t, sq).shape
-    tb = np.atleast_1d(np.broadcast_to(t, shape)).astype(float)
-    sb = np.atleast_1d(np.broadcast_to(sq, shape)).astype(float)
-    out = np.zeros(tb.shape)
-    pos = tb > 0
-    if np.any(pos):
-        out[pos] = (2.0 * math.pi * tb[pos]) ** (-d / 2.0) * np.exp(-sb[pos] / (2.0 * tb[pos]))
-    if shape == ():
-        return float(out[0])
-    return out.reshape(shape)
-
-
 # -- increment autocovariance -------------------------------------------------
 
 # Above this lag the three-term second difference loses too many digits to
@@ -247,46 +221,6 @@ def gamma_series_tail(alpha: float, r_min: int) -> float:
     """
     b = 1.0 - alpha / 2.0
     return -0.5 * r_min ** b * math.expm1(b * math.log1p(1.0 / r_min))
-
-
-@dataclass(frozen=True)
-class AutocovarianceTable:
-    """Table of Gamma_0..Gamma_R for one alpha, with its structural checks."""
-
-    alpha: float
-    values: np.ndarray
-
-    @classmethod
-    def build(cls, alpha: float, big_r: int) -> "AutocovarianceTable":
-        vals = np.asarray(gamma_r(alpha, np.arange(big_r + 1)))
-        return cls(alpha=alpha, values=vals)
-
-    @property
-    def big_r(self) -> int:
-        return len(self.values) - 1
-
-    def toeplitz(self, n: int | None = None) -> np.ndarray:
-        """Symmetric Toeplitz matrix ``[Gamma_|i-j|]`` of order n (default R+1)."""
-        n = self.big_r + 1 if n is None else n
-        if n > self.big_r + 1:
-            raise ValueError("table too short for requested matrix order")
-        idx = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-        return self.values[idx]
-
-    def validate(self, psd_order: int = 256, psd_tol: float = 1e-10,
-                 sum_rtol: float = 1e-12) -> None:
-        """Raise AssertionError unless all structural invariants hold."""
-        v = self.values
-        assert v[0] == 1.0, "Gamma_0 must be 1"
-        assert np.all(v[1:] < 0.0), "Gamma_r must be negative for r >= 1"
-        total = math.fsum(v.tolist())
-        target = gamma_partial_sum_identity(self.alpha, self.big_r)
-        assert abs(total - target) <= sum_rtol * abs(target), (
-            f"partial sum {total!r} != closed form {target!r}"
-        )
-        order = min(psd_order, self.big_r + 1)
-        eig_min = float(np.linalg.eigvalsh(self.toeplitz(order))[0])
-        assert eig_min >= -psd_tol, f"Toeplitz matrix not PSD: min eig {eig_min}"
 
 
 # -- quadrature verification of the increment correlation measure -------------

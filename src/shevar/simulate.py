@@ -91,7 +91,6 @@ def _as_generator(rng) -> np.random.Generator:
 class SigmaConstant:
     value: float = 1.0
     is_constant = True
-    lipschitz = True
 
     def __call__(self, u):
         return self.value
@@ -103,7 +102,6 @@ class SigmaLinear:
 
     sigma0: float = 1.0
     is_constant = False
-    lipschitz = True
 
     def __call__(self, u):
         return self.sigma0 * u
@@ -116,22 +114,9 @@ class SigmaAffinePlus:
     a: float = 1.0
     b: float = 0.5
     is_constant = False
-    lipschitz = True
 
     def __call__(self, u):
         return self.a + self.b * np.tanh(u)
-
-
-@dataclass(frozen=True)
-class SigmaCustom:
-    """User coefficient; must be vectorised and globally Lipschitz."""
-
-    fn: object
-    is_constant = False
-    lipschitz = False  # not verifiable; caller's responsibility
-
-    def __call__(self, u):
-        return self.fn(u)
 
 
 @dataclass(frozen=True)
@@ -141,7 +126,6 @@ class U0Constant:
     def on_grid(self, n: int) -> np.ndarray:
         return np.full(n, self.value)
 
-    bounded = True
     c1 = True
 
 
@@ -162,7 +146,6 @@ class U0SmoothPeriodic:
             out += b * np.sin(2.0 * math.pi * j * x)
         return out
 
-    bounded = True
     c1 = True
 
 
@@ -174,15 +157,11 @@ class ModelSpec:
     sigma: object = SigmaConstant(1.0)
     u0: object = U0Constant(1.0)
 
-    def validate(self, for_clt: bool = False) -> None:
-        if not getattr(self.sigma, "lipschitz", False):
-            import warnings
-
-            warnings.warn("custom sigma: Lipschitz property not verifiable",
-                          stacklevel=2)
-        if for_clt and not self.noise.clt_in_scope:
+    def validate(self) -> None:
+        """Raise ValueError unless the CLT covers this model."""
+        if not self.noise.clt_in_scope:
             raise ValueError("the CLT requires alpha < 1")
-        if for_clt and not getattr(self.u0, "c1", False):
+        if not getattr(self.u0, "c1", False):
             raise ValueError("CLT experiments need a C^1 initial condition")
 
 
@@ -513,7 +492,6 @@ def simulate_spde_batch(model: ModelSpec, design: SamplingDesign, streams,
     """
     if model.noise.dim != 1:
         raise ValueError("the spectral scheme is implemented for dim = 1 only")
-    model.validate()
     alpha = model.noise.alpha
     n = design.spatial_modes
     kk = n // 2

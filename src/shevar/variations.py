@@ -88,8 +88,6 @@ class IncrementPanel:
 
     values: np.ndarray
     delta_n: float
-    tau: float
-    alpha: float
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -117,13 +115,13 @@ class IncrementPanel:
 
 
 def extract_increments(values, design: SamplingDesign, alpha: float,
-                       tau: float | None = None, dim: int = 1) -> IncrementPanel:
+                       tau: float | None = None) -> IncrementPanel:
     """Difference an observed path panel and rescale by the increment norm.
 
     ``values`` holds ``u(i delta_n, x_k)`` with shape (n_steps + 1, K) (a 1-d
     array is treated as K = 1), or a replicate stack (R, n_steps + 1, K).
     ``tau`` overrides the normalisation, e.g. with a scheme-calibrated value;
-    default is ``tau_n`` for ``(alpha, dim)``.
+    default is ``tau_n`` for ``alpha`` in one space dimension.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim == 1:
@@ -134,9 +132,8 @@ def extract_increments(values, design: SamplingDesign, alpha: float,
         )
     if v.shape[-1] != design.n_points:
         raise ValueError("path column count does not match design points")
-    scale = tau_n(NoiseParams(alpha, dim), design.delta_n) if tau is None else float(tau)
-    return IncrementPanel(values=np.diff(v, axis=-2) / scale,
-                          delta_n=design.delta_n, tau=scale, alpha=alpha)
+    scale = tau_n(NoiseParams(alpha, 1), design.delta_n) if tau is None else float(tau)
+    return IncrementPanel(values=np.diff(v, axis=-2) / scale, delta_n=design.delta_n)
 
 
 def variation_functional(f: EvaluationFunction, incr: IncrementPanel,
@@ -171,9 +168,9 @@ def variation_functional(f: EvaluationFunction, incr: IncrementPanel,
 
 
 def power_variation(p: float, incr: IncrementPanel, design: SamplingDesign,
-                    t_grid, point: int = 0) -> np.ndarray:
-    """Normalised p-th power variation at one point; shape (..., len(t_grid))."""
-    f = EvaluationFunction.abs_power(p, n_points=incr.n_points, k=point)
+                    t_grid) -> np.ndarray:
+    """Normalised p-th power variation at the first point; shape (..., len(t_grid))."""
+    f = EvaluationFunction.abs_power(p, n_points=incr.n_points)
     return variation_functional(f, incr, design, t_grid)[..., 0]
 
 

@@ -16,6 +16,7 @@ from shevar.gaussian_limits import (
     SignedMonomial,
     _abs_power_rho,
     _pairing_series,
+    _safe_cholesky,
     build_joint_cov,
     build_within_cov,
     limit_covariance,
@@ -90,7 +91,6 @@ class TestEvaluationFunction:
             [AbsPower(2.0, k=0), SignedMonomial((1, 1), k=1)],
             n_points=2, n_lags=2)
         assert f.n_outputs == 2
-        assert f.row_map == (0, 1)
         z = np.random.default_rng(0).standard_normal((5, 2, 2))
         out = f.evaluate(z)
         assert out.shape == (5, 2)
@@ -128,20 +128,20 @@ class TestEvaluationFunction:
 class TestCovarianceBlocks:
     def test_within_single(self):
         f = EvaluationFunction.abs_power(2.0)
-        block = build_within_cov(f, [4.0], alpha=0.5)
-        assert np.allclose(block.cov, [[4.0]])
+        cov = build_within_cov(f, [4.0], alpha=0.5)
+        assert np.allclose(cov, [[4.0]])
 
     def test_within_two_lags(self):
         f = EvaluationFunction([AbsPower(2.0)], n_points=1, n_lags=2)
-        block = build_within_cov(f, [1.0], alpha=1.0)
+        cov = build_within_cov(f, [1.0], alpha=1.0)
         g1 = float(gamma_r(1.0, 1))
-        assert np.allclose(block.cov, [[1.0, g1], [g1, 1.0]])
+        assert np.allclose(cov, [[1.0, g1], [g1, 1.0]])
 
     def test_within_zero_variance(self):
         f = EvaluationFunction([AbsPower(2.0)], n_points=1, n_lags=2)
-        block = build_within_cov(f, [0.0], alpha=0.5)
-        assert np.all(block.cov == 0.0)
-        assert np.all(block.cholesky() == 0.0)
+        cov = build_within_cov(f, [0.0], alpha=0.5)
+        assert np.all(cov == 0.0)
+        assert np.all(_safe_cholesky(cov) == 0.0)
 
     def test_negative_w_rejected(self):
         f = EvaluationFunction.abs_power(2.0)
@@ -150,17 +150,17 @@ class TestCovarianceBlocks:
 
     def test_joint_single(self):
         f = EvaluationFunction.abs_power(2.0)
-        block = build_joint_cov(f, [1.0], r=1, alpha=0.5)
+        cov = build_joint_cov(f, [1.0], r=1, alpha=0.5)
         g1 = float(gamma_r(0.5, 1))
-        assert np.allclose(block.cov, [[1.0, g1], [g1, 1.0]])
+        assert np.allclose(cov, [[1.0, g1], [g1, 1.0]])
 
     def test_joint_offsets_by_hand(self):
         # L = 2, r = 2: cross entries are Gamma_{|l1 - l2 + 2|}
         f = EvaluationFunction([AbsPower(2.0)], n_points=1, n_lags=2)
         alpha = 0.5
-        block = build_joint_cov(f, [1.0], r=2, alpha=alpha)
+        cov = build_joint_cov(f, [1.0], r=2, alpha=alpha)
         g = {i: float(gamma_r(alpha, i)) for i in range(4)}
-        cross = block.cov[:2, 2:]
+        cross = cov[:2, 2:]
         # (l1, l2) -> |l1 - l2 + 2|: (0,0)->2 (0,1)->1 (1,0)->3 (1,1)->2
         assert cross[0, 0] == pytest.approx(g[2])
         assert cross[0, 1] == pytest.approx(g[1])
@@ -170,15 +170,23 @@ class TestCovarianceBlocks:
     def test_joint_decay(self):
         f = EvaluationFunction([AbsPower(2.0)], n_points=1, n_lags=2)
         far = build_joint_cov(f, [1.0], r=4000, alpha=0.5)
-        assert np.max(np.abs(far.cov[:2, 2:])) < 1e-4
+        assert np.max(np.abs(far[:2, 2:])) < 1e-4
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.9])
     @pytest.mark.parametrize("r", [1, 2, 7])
     def test_joint_psd(self, alpha, r):
         f = EvaluationFunction([AbsPower(2.0)], n_points=2, n_lags=3)
-        block = build_joint_cov(f, [1.0, 2.5], r=r, alpha=alpha)
-        assert block.min_eigenvalue() >= -1e-10
-        block.cholesky()  # must not raise
+        w = [1.0, 2.5]
+        cov = build_joint_cov(f, w, r=r, alpha=alpha)
+        # entry ((i, k, l1), (j, k, l2)) is w_k Gamma_|(j - i) r + l1 - l2|
+        for a in range(12):
+            for b in range(12):
+                i, k1, l1 = np.unravel_index(a, (2, 2, 3))
+                j, k2, l2 = np.unravel_index(b, (2, 2, 3))
+                want = w[k1] * float(gamma_r(alpha, abs((j - i) * r + l1 - l2)))
+                assert cov[a, b] == (want if k1 == k2 else 0.0)
+        assert np.linalg.eigvalsh(cov)[0] >= -1e-10
+        _safe_cholesky(cov, joint=True)  # must not raise
 
 
 class TestMuF:
@@ -285,6 +293,14 @@ class TestRho:
         est, se = rho(f, 0, 0, r, [1.0], alpha=0.5, method="mc", mc=QUICK_MC,
                       return_se=True)
         assert abs(est - exact) < 4.0 * se
+
+    @pytest.mark.parametrize("method", ["closed", "MC", "exact"])
+    def test_unknown_method_rejected(self, method):
+        f = EvaluationFunction.abs_power(2.0)
+        with pytest.raises(ValueError, match="method"):
+            rho(f, 0, 0, 1, [1.0], 0.5, method)
+        with pytest.raises(ValueError, match="method"):
+            mu_f(f, [1.0], method=method)
 
 
 class TestLimitPaths:

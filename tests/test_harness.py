@@ -1,5 +1,6 @@
 """Experiment harness: configs, goodness of fit, runners, reports, CLI."""
 
+import inspect
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import pytest
 from scipy.special import ndtr
 
 from shevar.cli import main as cli_main
-from shevar.gaussian_limits import EvaluationFunction, limit_covariance
+from shevar.gaussian_limits import EvaluationFunction, limit_covariance, rho
 from shevar.harness import (
     Config,
     ConfigError,
@@ -25,7 +26,15 @@ from shevar.harness import (
 )
 from shevar.inference import estimate_sigma0, spot_variance
 from shevar.kernels import NoiseParams, tau_n
-from shevar.simulate import RngStream, simulate_stationary_increments_batch
+from shevar.simulate import (
+    ModelSpec,
+    RngStream,
+    SigmaLinear,
+    U0Constant,
+    scheme_increment_variance,
+    simulate_spde_batch,
+    simulate_stationary_increments_batch,
+)
 from shevar.variations import SamplingDesign
 
 
@@ -114,6 +123,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match="design.points"):
             default_config(kind).replace(**{"driver": "exact",
                                             "design.points": [0.0, 0.5], **extra})
+
+    def test_continuum_normalization_on_exact_rejected(self):
+        # the exact sampler is normalised by tau_n whatever the key says
+        with pytest.raises(ConfigError, match="clt.normalization"):
+            default_config("clt").replace(**{"clt.normalization": "continuum"})
+
+    def test_several_lags_rejected(self):
+        # every runner builds a one-lag f, so design.lags = 2 would be ignored
+        with pytest.raises(ConfigError, match="design.lags"):
+            default_config("clt").replace(**{"design.lags": 2})
+
+    def test_other_dimension_rejected(self):
+        with pytest.raises(ConfigError, match="model.dim"):
+            default_config("clt").replace(**{"driver": "spde", "model.dim": 2})
 
 
 class TestKolmogorovSmirnov:
@@ -210,6 +233,28 @@ class TestRunners:
         w_hat = spot_variance(np.diff(u) / scale, delta_n=design.delta_n)
         expected = unit.c_path[0, 0, 0] * design.delta_n * float(np.sum(w_hat))
         assert rep.diagnostics["plugin_variance"] == pytest.approx(expected, rel=1e-12)
+
+    def test_estimate_sigma0_spde_uses_scheme_variance(self):
+        # the scheme's increments are normalised by its own variance, as in
+        # run_clt, not by the continuum tau_n
+        cfg = default_config("estimate").replace(**{
+            "driver": "spde", "model.sigma.kind": "linear",
+            "model.sigma.sigma0": 0.5, "design.n": 256, "design.horizon": 0.01,
+            "design.spatial_modes": 256, "design.oversampling": 2,
+            "replicates": 3, "seed": 41})
+        rep = run_experiment(cfg)
+        alpha = cfg["model.alpha"]
+        design = SamplingDesign(delta_n=0.01 / 256, horizon=0.01,
+                                spatial_modes=256, oversampling=2)
+        model = ModelSpec(noise=NoiseParams(alpha, 1), sigma=SigmaLinear(0.5),
+                          u0=U0Constant(1.0))
+        paths = simulate_spde_batch(model, design, [RngStream(41, i) for i in range(3)],
+                                    workers=1).drop_burn_in()
+        tau = math.sqrt(scheme_increment_variance(alpha, design.delta_n, 256))
+        for i, row in enumerate(rep.rows):
+            want = estimate_sigma0(2.0, paths.values[i, :, 0], design, alpha, tau=tau)
+            assert row["estimate"] == want.estimate
+            assert row["se"] == want.se
 
     def test_clt_rejects_alpha_one(self):
         cfg = default_config("clt").replace(**{"model.alpha": 1.0})
@@ -338,6 +383,22 @@ class TestReports:
         assert again.rows == rep.rows
         assert again.summary == rep.summary
         assert again.passed == rep.passed
+
+
+class TestBenchmarkTracer:
+    """The benchmark's tracer patches names in the package from outside."""
+
+    def test_patched_names_exist(self, monkeypatch):
+        monkeypatch.syspath_prepend(
+            os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+        import tracing
+
+        with tracing.instrumented(tracing.Tracer()):
+            pass
+
+    def test_rho_method_position(self):
+        # the tracer reads rho's method from its seventh positional argument
+        assert list(inspect.signature(rho).parameters)[6] == "method"
 
 
 class TestCli:

@@ -7,10 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
 
 from shevar.kernels import (
-    AutocovarianceTable,
     NoiseParams,
     WhiteNoiseCase,
     abs_moment,
@@ -20,7 +18,6 @@ from shevar.kernels import (
     gamma_r,
     gamma_series_tail,
     gamma_sq_tail_bound,
-    heat_kernel,
     pi_mass,
     riesz_constant,
     sum_gamma_sq,
@@ -123,32 +120,6 @@ class TestAbsMoment:
             assert abs(vals.mean() - abs_moment(p)) < 3.0 * se
 
 
-class TestHeatKernel:
-    def test_zero_for_nonpositive_time(self):
-        assert heat_kernel(0.0, 0.3) == 0.0
-        assert heat_kernel(-1.0, 0.0) == 0.0
-
-    def test_peak_value(self):
-        assert heat_kernel(1.0, 0.0) == pytest.approx((2 * math.pi) ** -0.5)
-
-    @pytest.mark.parametrize("t", [0.1, 1.0])
-    def test_mass_one_dim1(self, t):
-        val, _ = integrate.quad(lambda x: heat_kernel(t, x), -np.inf, np.inf)
-        assert val == pytest.approx(1.0, abs=1e-8)
-
-    @pytest.mark.parametrize("t", [0.1, 1.0])
-    def test_mass_one_dim2_by_separability(self, t):
-        one_d, _ = integrate.quad(lambda x: heat_kernel(t, x), -np.inf, np.inf)
-        x = np.array([0.2, -0.1])
-        assert heat_kernel(t, x) == pytest.approx(
-            heat_kernel(t, x[0]) * heat_kernel(t, x[1]), rel=1e-12)
-        assert one_d ** 2 == pytest.approx(1.0, abs=2e-8)
-
-    def test_vectorised_time(self):
-        out = heat_kernel(np.array([-1.0, 0.0, 1.0]), 0.0)
-        assert out[0] == 0.0 and out[1] == 0.0 and out[2] > 0
-
-
 class TestGammaR:
     def test_lag_zero(self):
         assert gamma_r(0.5, 0) == 1.0
@@ -222,20 +193,27 @@ class TestGammaR:
             assert (g ** 2).sum() <= gamma_sq_tail_bound(alpha, 100)
 
 
+def _toeplitz(values, order):
+    idx = np.abs(np.arange(order)[:, None] - np.arange(order)[None, :])
+    return values[idx]
+
+
 class TestAutocovarianceTable:
+    """Structural invariants of the table Gamma_0..Gamma_R."""
+
     @pytest.mark.parametrize("alpha", ALPHA_GRID)
     def test_validate(self, alpha):
-        AutocovarianceTable.build(alpha, 512).validate()
+        v = gamma_r(alpha, np.arange(513))
+        assert v[0] == 1.0
+        assert np.all(v[1:] < 0.0)
+        target = gamma_partial_sum_identity(alpha, 512)
+        assert abs(math.fsum(v.tolist()) - target) <= 1e-12 * abs(target)
+        assert np.linalg.eigvalsh(_toeplitz(v, 256))[0] >= -1e-10
 
     def test_toeplitz_psd_256(self):
         for alpha in ALPHA_GRID:
-            table = AutocovarianceTable.build(alpha, 256)
-            eig = np.linalg.eigvalsh(table.toeplitz(256))
+            eig = np.linalg.eigvalsh(_toeplitz(gamma_r(alpha, np.arange(256)), 256))
             assert eig[0] >= -1e-10
-
-    def test_toeplitz_shape_error(self):
-        with pytest.raises(ValueError):
-            AutocovarianceTable.build(0.5, 8).toeplitz(64)
 
 
 class TestPiMass:

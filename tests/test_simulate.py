@@ -13,7 +13,6 @@ from shevar.simulate import (
     PathPanel,
     RngStream,
     SigmaConstant,
-    SigmaCustom,
     SigmaLinear,
     U0Constant,
     U0SmoothPeriodic,
@@ -321,13 +320,6 @@ class TestSpdeScheme:
         with pytest.raises(NumericalBlowup) as err:
             simulate_spde(model, self.design(), RngStream(7), blowup_cap=0.5)
         assert err.value.step == 0
-
-    def test_custom_sigma_warns(self):
-        model = ModelSpec(noise=NoiseParams(0.5, 1),
-                          sigma=SigmaCustom(lambda u: np.cos(u)),
-                          u0=U0Constant(0.0))
-        with pytest.warns(UserWarning):
-            simulate_spde(model, self.design(spatial_modes=256), RngStream(8))
 
     def test_dim_restriction(self):
         model = ModelSpec(noise=NoiseParams(0.5, 2), sigma=SigmaConstant(1.0),

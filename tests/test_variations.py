@@ -18,9 +18,8 @@ from shevar.variations import (
 )
 
 
-def toy_panel(values, delta=0.01, alpha=0.5):
-    return IncrementPanel(values=np.asarray(values, dtype=float),
-                          delta_n=delta, tau=1.0, alpha=alpha)
+def toy_panel(values, delta=0.01):
+    return IncrementPanel(values=np.asarray(values, dtype=float), delta_n=delta)
 
 
 class TestSamplingDesign:

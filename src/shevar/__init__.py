@@ -85,7 +85,6 @@ from .harness import (
     ConfigError,
     ExperimentReport,
     default_config,
-    ks_pvalue,
     ks_statistic,
     load_config,
     parse_config,

@@ -588,11 +588,12 @@ def rho(f: EvaluationFunction, m1: int, m2: int, r: int, w,
 class LimitLaw:
     """Limit objects along a time grid.
 
-    ``v_path[i]`` approximates ``int_0^{t_i} mu_f(w(s)) ds`` and
-    ``c_path[i]`` the conditional CLT covariance matrix at ``t_i``.  The lag
-    series behind ``c_path`` is truncated at ``r_max``; ``tail_bound`` is a
-    per-entry bound on the truncation error of the series coefficient
-    (before time integration), and ``mc_se`` carries Monte Carlo standard
+    ``v_path[..., i, :]`` is ``int_0^{t_i} mu_f(w(s)) ds`` and
+    ``c_path[..., i, :, :]`` the conditional CLT covariance matrix at
+    ``t_i``; leading axes are those of a replicate stack of variance paths.
+    ``series`` holds the unit-variance series coefficients behind
+    ``c_path``, truncated at ``r_max``; ``tail_bound`` is a per-entry bound
+    on their truncation error and ``mc_se`` carries Monte Carlo standard
     errors where the backend was stochastic.
     """
 
@@ -600,49 +601,49 @@ class LimitLaw:
     v_path: np.ndarray
     c_path: np.ndarray
     r_max: int
+    series: np.ndarray
     tail_bound: np.ndarray
     mc_se: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
     def validate(self, tol: float = 1e-10) -> None:
-        for i in range(len(self.t_grid)):
-            c = self.c_path[i]
+        m = self.c_path.shape[-1]
+        for c in self.c_path.reshape(-1, m, m):
             assert np.allclose(c, c.T, atol=tol), "C(t) must be symmetric"
             if c.size:
                 eig = np.linalg.eigvalsh(c)[0]
                 scale = max(1.0, float(np.trace(c)))
-                assert eig >= -tol * scale, f"C(t) not PSD at t={self.t_grid[i]}"
-        diag = np.einsum("tmm->tm", self.c_path)
-        assert np.all(np.diff(diag, axis=0) >= -tol), "diagonal of C must be nondecreasing"
+                assert eig >= -tol * scale, "C(t) must be PSD"
+        diag = np.einsum("...tmm->...tm", self.c_path)
+        assert np.all(np.diff(diag, axis=-2) >= -tol), "diagonal of C must be nondecreasing"
 
 
 def _left_riemann_profile(s_grid, values, t_grid):
-    """``int_0^t values(s) ds`` by left Riemann sums, evaluated on t_grid."""
+    """``int_{s_0}^t values(s) ds`` by left Riemann sums on a uniform grid.
+
+    Time is the last axis of ``values``; it is replaced by ``t_grid``.  The
+    integral up to t is ``ds * np.sum`` over the first
+    ``floor((t - s_0) / ds)`` left nodes: the pairwise sum that
+    ``variation_functional`` takes over its windows, so a limit and the
+    functional it centres are summed alike.
+    """
     s_grid = np.asarray(s_grid, dtype=float)
-    t_grid = np.asarray(t_grid, dtype=float)
     if s_grid.ndim != 1 or len(s_grid) < 2:
         raise ValueError("s_grid must be a 1-d grid with at least two nodes")
-    ds = np.diff(s_grid)
-    contrib = values[:-1] * ds.reshape(-1, *([1] * (values.ndim - 1)))
-    csum = np.concatenate([np.zeros((1,) + contrib.shape[1:]), np.cumsum(contrib, axis=0)])
-    idx = np.searchsorted(s_grid, t_grid, side="right") - 1
-    idx = np.clip(idx, 0, len(s_grid) - 1)
-    out = csum[idx]
-    # partial cell up to t for t strictly inside a cell
-    frac = t_grid - s_grid[idx]
-    inside = (frac > 0) & (idx < len(s_grid) - 1)
-    if np.any(inside):
-        out[inside] += values[idx[inside]] * frac[inside].reshape(
-            -1, *([1] * (values.ndim - 1)))
-    return out
+    ds = s_grid[1] - s_grid[0]
+    if not (ds > 0 and np.all(np.abs(np.diff(s_grid) - ds) <= 1e-9 * ds)):
+        raise ValueError("s_grid must be uniform and increasing")
+    counts = np.floor((np.asarray(t_grid, dtype=float) - s_grid[0]) / ds + 1e-9)
+    counts = np.clip(counts.astype(int), 0, len(s_grid) - 1)
+    return np.stack([ds * np.sum(values[..., :c], axis=-1) for c in counts], axis=-1)
 
 
-def _w_path_array(w_path, n_points) -> np.ndarray:
+def _w_path_array(w_path, n_points, n_nodes) -> np.ndarray:
     w = np.asarray(w_path, dtype=float)
     if w.ndim == 1:
         w = w[:, None]
-    if w.shape[1] != n_points:
-        raise ValueError(f"w_path must have K = {n_points} columns")
+    if w.shape[-2:] != (n_nodes, n_points):
+        raise ValueError(f"w_path must have shape (..., {n_nodes}, K = {n_points})")
     if np.any(w < 0):
         raise ValueError("variance path must be nonnegative")
     return w
@@ -650,28 +651,27 @@ def _w_path_array(w_path, n_points) -> np.ndarray:
 
 def limit_lln(f: EvaluationFunction, s_grid, w_path, t_grid,
               alpha: float | None = None, mc: MonteCarlo | None = None) -> np.ndarray:
-    """LLN limit path ``V_f(t) = int_0^t mu_f(w(s)) ds`` on ``t_grid``.
+    """LLN limit path ``V_f(t) = int_0^t mu_f(w(s)) ds``; shape (..., len(t_grid), M).
 
-    ``w_path`` holds the conditional variances on ``s_grid`` (shape
-    ``(len(s_grid), K)``); integration is by left Riemann sums.  Homogeneous
-    components integrate ``w^(degree/2)`` against a single base constant;
-    non-homogeneous customs are evaluated pointwise (slow).
+    ``w_path`` holds the conditional variances on the uniform ``s_grid``,
+    shape ``(len(s_grid), K)`` or a replicate stack ``(..., len(s_grid), K)``;
+    integration is by left Riemann sums (see ``_left_riemann_profile``).
+    Homogeneous components integrate ``w^(degree/2)`` against a single base
+    constant; non-homogeneous customs are evaluated pointwise (slow).
     """
-    w = _w_path_array(w_path, f.n_points)
+    w = _w_path_array(w_path, f.n_points, np.size(s_grid))
     cols = []
     for m, comp in enumerate(f.components):
         if getattr(comp, "homogeneous", False):
             unit = np.zeros(f.n_points)
             unit[comp.k] = 1.0
             base = mu_f(f, unit, alpha=alpha, mc=mc)[m]
-            cols.append(base * w[:, comp.k] ** (comp.degree / 2.0))
+            dens = base * w[..., comp.k] ** (comp.degree / 2.0)
         else:
-            vals = np.array([
-                mu_f(f, w[i], alpha=alpha, mc=mc)[m] for i in range(len(s_grid))
-            ])
-            cols.append(vals)
-    dens = np.stack(cols, axis=-1)
-    return _left_riemann_profile(np.asarray(s_grid, float), dens, t_grid)
+            dens = np.array([mu_f(f, wi, alpha=alpha, mc=mc)[m]
+                             for wi in w.reshape(-1, f.n_points)]).reshape(w.shape[:-1])
+        cols.append(_left_riemann_profile(s_grid, dens, t_grid))
+    return np.stack(cols, axis=-1)
 
 
 def limit_covariance(f: EvaluationFunction, s_grid, w_path, t_grid, alpha: float,
@@ -683,10 +683,12 @@ def limit_covariance(f: EvaluationFunction, s_grid, w_path, t_grid, alpha: float
     ``r_max``.  All built-in components are homogeneous, so each series
     coefficient is computed once at unit variance and the time dependence
     enters through ``int w^q ds``.  Requires every component pair to be
-    homogeneous (Custom components must declare homogeneity).
+    homogeneous (Custom components must declare homogeneity).  ``w_path``
+    may be a replicate stack, as in :func:`limit_lln`; the coefficients are
+    computed once for the whole stack.
     """
     mc = mc or MonteCarlo()
-    w = _w_path_array(w_path, f.n_points)
+    w = _w_path_array(w_path, f.n_points, np.size(s_grid))
     t_grid = np.asarray(t_grid, dtype=float)
     m_dim = f.n_outputs
     if not all(getattr(c, "homogeneous", False) for c in f.components):
@@ -713,7 +715,7 @@ def limit_covariance(f: EvaluationFunction, s_grid, w_path, t_grid, alpha: float
 
     # time profiles int_0^t w_k(s)^q ds for every needed (k, q)
     degrees = [c.degree for c in f.components]
-    c_path = np.zeros((len(t_grid), m_dim, m_dim))
+    c_path = np.zeros(w.shape[:-2] + (len(t_grid), m_dim, m_dim))
     prof_cache = {}
     for m1 in range(m_dim):
         for m2 in range(m_dim):
@@ -723,15 +725,13 @@ def limit_covariance(f: EvaluationFunction, s_grid, w_path, t_grid, alpha: float
             q = (degrees[m1] + degrees[m2]) / 2.0
             key = (c1.k, q)
             if key not in prof_cache:
-                prof_cache[key] = _left_riemann_profile(
-                    np.asarray(s_grid, float), w[:, c1.k] ** q, t_grid)
-            c_path[:, m1, m2] = series[m1, m2] * prof_cache[key]
+                prof_cache[key] = _left_riemann_profile(s_grid, w[..., c1.k] ** q, t_grid)
+            c_path[..., m1, m2] = series[m1, m2] * prof_cache[key]
 
-    v_path = limit_lln(f, s_grid, w_path, t_grid, alpha=alpha, mc=mc)
+    v_path = limit_lln(f, s_grid, w, t_grid, alpha=alpha, mc=mc)
     return LimitLaw(
-        t_grid=t_grid, v_path=v_path, c_path=c_path,
-        r_max=int(np.max(r_used)), tail_bound=tail, mc_se=mc_se,
-        diagnostics={"r_used": r_used},
+        t_grid=t_grid, v_path=v_path, c_path=c_path, r_max=int(np.max(r_used)),
+        series=series, tail_bound=tail, mc_se=mc_se, diagnostics={"r_used": r_used},
     )
 
 

@@ -21,7 +21,7 @@ import os
 import time
 from dataclasses import dataclass, field
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import kolmogorov, ndtr
 
 from . import __version__
 from .gaussian_limits import AbsPower, EvaluationFunction, MonteCarlo, limit_covariance
@@ -402,37 +402,6 @@ def ks_statistic(sample) -> float:
     return float(max(d_plus, d_minus))
 
 
-def ks_pvalue(d: float, n: int) -> float:
-    """Asymptotic Kolmogorov p-value ``P(sup > d)`` for sample size n.
-
-    Uses the alternating series for large arguments and the dual
-    theta-function form for small ones, where the alternating series
-    converges too slowly to be usable.
-    """
-    lam = math.sqrt(n) * d
-    if lam <= 0:
-        return 1.0
-    if lam < 1.18:
-        # P(sup <= lam) = sqrt(2 pi)/lam * sum_k exp(-(2k-1)^2 pi^2/(8 lam^2))
-        cdf = 0.0
-        for k in range(1, 21):
-            cdf += math.exp(-((2 * k - 1) ** 2) * math.pi ** 2 / (8.0 * lam * lam))
-        cdf *= math.sqrt(2.0 * math.pi) / lam
-        return float(min(1.0, max(0.0, 1.0 - cdf)))
-    total = 0.0
-    for j in range(1, 101):
-        term = 2.0 * (-1.0) ** (j - 1) * math.exp(-2.0 * j * j * lam * lam)
-        total += term
-        if abs(term) < 1e-12:
-            break
-    return float(min(1.0, max(0.0, total)))
-
-
-def ks_test_normal(sample):
-    d = ks_statistic(sample)
-    return d, ks_pvalue(d, len(sample))
-
-
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
@@ -567,12 +536,17 @@ def _streams(cfg: Config, count: int | None = None, salt: int = 0):
     return [RngStream(cfg["seed"], salt * 1_000_000 + i) for i in range(n)]
 
 
-def _series_factor(alpha: float, p: float) -> float:
-    """Limit-variance series coefficient for f = |z|^p at unit variance."""
-    f = EvaluationFunction.abs_power(p)
-    law = limit_covariance(f, np.array([0.0, 1.0]), np.ones((2, 1)),
-                           np.array([1.0]), alpha)
-    return float(law.c_path[0, 0, 0])
+def _increment_scale(alpha: float, design: SamplingDesign, normalization: str) -> float:
+    """Scale of the spectral scheme's increments on ``design``.
+
+    ``scheme`` is the scheme's own increment standard deviation, which falls
+    short of the continuum ``tau_n`` at finite resolution; ``continuum`` is
+    ``tau_n``.
+    """
+    if normalization == "continuum":
+        return tau_n(NoiseParams(alpha, 1), design.delta_n)
+    return math.sqrt(scheme_increment_variance(alpha, design.delta_n,
+                                               design.spatial_modes))
 
 
 def _sample_paths(model: ModelSpec, design: SamplingDesign, driver: str, streams,
@@ -724,23 +698,19 @@ def run_lln(cfg: Config, workers: int | None = None) -> ExperimentReport:
 def run_clt(cfg: Config, workers: int | None = None) -> ExperimentReport:
     """Distributional check of the rescaled fluctuation of V^n_p.
 
-    Additive driver: exact stationary increments, constant centering,
-    closed-form studentisation.  SPDE driver: multiplicative paths with
-    path-exact centering and conditional variance computed from the
-    simulated coefficient path.  Refuses alpha = 1, which is outside the
+    Exact driver: stationary increments with unit conditional variance.
+    SPDE driver: paths of the scheme with conditional variance
+    ``sigma(u)^2`` along each simulated path.  Either way the centre
+    ``V_f`` and the studentising ``C(T)`` come from one
+    :func:`limit_covariance` call.  Refuses alpha = 1, which is outside the
     theorem's scope.
     """
     alpha = cfg["model.alpha"]
-    if not alpha < 1.0:
-        raise ValueError(
-            "run_clt: the central limit theorem holds for alpha in (0, 1); "
-            "alpha = 1 (space-time white noise) is excluded"
-        )
     p = cfg["functional.p"]
     n_rep = cfg["replicates"]
     driver = cfg["driver"]
-    s_factor = _series_factor(alpha, p)
-    m_p = abs_moment(p)
+    model = _model_from(cfg)
+    model.validate()
     design = _design_from(cfg)
     delta, n = design.delta_n, design.n_steps
     half = n // 2
@@ -748,32 +718,22 @@ def run_clt(cfg: Config, workers: int | None = None) -> ExperimentReport:
     if driver == "exact":
         z = simulate_stationary_increments_batch(alpha, n, _streams(cfg, n_rep))
         panel = IncrementPanel(z[..., None], delta)
-        center = np.array([m_p * half * delta, m_p * design.horizon])
-        c_full = s_factor * design.horizon
+        w = np.ones((n + 1, 1))
     else:
-        model = _model_from(cfg)
-        model.validate()
         paths = _sample_paths(model, design, driver, _streams(cfg, n_rep),
                               workers).drop_burn_in()
-        if cfg["clt.normalization"] == "scheme":
-            tau_sq = scheme_increment_variance(alpha, delta, design.spatial_modes)
-        else:
-            tau_sq = tau_n(NoiseParams(alpha, 1), delta) ** 2
-        panel = extract_increments(paths.values, design, alpha, tau=math.sqrt(tau_sq))
-        u = paths.values[:, :-1, 0]
-        w = np.square(model.sigma(u)) if not model.sigma.is_constant else np.full_like(
-            u, model.sigma(None) ** 2)
-        mu_dens = m_p * w ** (p / 2.0)  # LLN density on the left grid
-        center = np.stack([delta * np.sum(mu_dens[:, :half], axis=1),
-                           delta * np.sum(mu_dens, axis=1)], axis=-1)
-        c_full = s_factor * delta * np.sum(w ** p, axis=1)
+        tau = _increment_scale(alpha, design, cfg["clt.normalization"])
+        panel = extract_increments(paths.values, design, alpha, tau=tau)
+        w = np.square(np.broadcast_to(model.sigma(paths.values), paths.values.shape))
 
     f = EvaluationFunction.abs_power(p, n_points=panel.n_points)
-    v_n = variation_functional(f, panel, design, [half * delta, design.horizon])[..., 0]
-    stat = clt_statistic(v_n, np.broadcast_to(center, v_n.shape), delta)
+    t_grid = [half * delta, design.horizon]
+    v_n = variation_functional(f, panel, design, t_grid)[..., 0]
+    law = limit_covariance(f, design.times(), w, t_grid, alpha)
+    stat = clt_statistic(v_n, np.broadcast_to(law.v_path[..., 0], v_n.shape), delta)
     v_full, stat_half, stat_full = v_n[:, 1], stat[:, 0], stat[:, 1]
-    stud = stat_full / np.sqrt(c_full)
-    c_plug = np.broadcast_to(c_full, stud.shape)
+    c_plug = np.broadcast_to(law.c_path[..., -1, 0, 0], stat_full.shape)
+    stud = stat_full / np.sqrt(c_plug)
     rows = [{
         "replicate": i, "v_n": float(v_full[i]),
         "stat": float(stat_full[i]), "studentized": float(stud[i]),
@@ -781,10 +741,9 @@ def run_clt(cfg: Config, workers: int | None = None) -> ExperimentReport:
         "stat_second_half": float(stat_full[i] - stat_half[i]),
         "c_plug": float(c_plug[i]),
     } for i in range(n_rep)]
-    # the exact driver's plug-in variance is one constant for all replicates
-    var_ratio = float(np.var(stat_full, ddof=1) / c_full if driver == "exact"
-                      else np.var(stud, ddof=1))
-    d, pval = ks_test_normal(stud)
+    var_ratio = float(np.var(stud, ddof=1))
+    d = ks_statistic(stud)
+    pval = float(kolmogorov(math.sqrt(n_rep) * d))
     mean = float(np.mean(stud))
     mean_se = float(np.std(stud, ddof=1) / math.sqrt(n_rep))
     corr = float(np.corrcoef(stat_half, stat_full - stat_half)[0, 1])
@@ -803,7 +762,7 @@ def run_clt(cfg: Config, workers: int | None = None) -> ExperimentReport:
         "mean_studentized": mean, "mean_se": mean_se,
         "variance_ratio": var_ratio,
         "increment_correlation": corr, "correlation_se": corr_se,
-        "series_factor": s_factor,
+        "series_factor": float(law.series[0, 0]),
         **checks,
     }
     return _report(cfg, rows, summary, all(checks.values()))
@@ -831,10 +790,9 @@ def run_estimation(cfg: Config, workers: int | None = None) -> ExperimentReport:
     if estimator == "sigma0":
         p = cfg["functional.p"]
         truth = cfg["model.sigma.value"] if exact else getattr(model.sigma, "sigma0", None)
-        # the scheme's increments fall short of tau_n at finite resolution, so
-        # they are normalised by the scheme's own variance, as in run_clt
-        tau = None if exact else math.sqrt(scheme_increment_variance(
-            alpha, design.delta_n, design.spatial_modes))
+        # the scheme's increments are normalised by its own variance, as in
+        # run_clt's default
+        tau = None if exact else _increment_scale(alpha, design, "scheme")
         for i in range(n_rep):
             try:
                 rep = estimate_sigma0(p, series[i], design, alpha, level=level,

@@ -25,7 +25,6 @@ import numpy as np
 from .gaussian_limits import EvaluationFunction, limit_covariance
 from .kernels import abs_moment
 from .variations import (
-    IncrementPanel,
     SamplingDesign,
     extract_increments,
     power_variation,
@@ -86,21 +85,16 @@ def confidence_interval(point: float, c_hat: float, delta_n: float,
     return point - hw, point + hw
 
 
-def spot_variance(z: np.ndarray, window: int | None = None,
-                  delta_n: float | None = None) -> np.ndarray:
+def spot_variance(z: np.ndarray, delta_n: float) -> np.ndarray:
     """Windowed realized variance of normalised increments.
 
     ``z`` is a 1-d array of normalised increments; entry i averages ``z^2``
-    over the forward window ``[i, i + window)``, truncated at the end of the
-    sample.  Default window is ``ceil(delta_n^(-1/2))``.
+    over the forward window ``[i, i + ceil(delta_n^(-1/2)))``, truncated at
+    the end of the sample.
     """
     z = np.asarray(z, dtype=float)
     n = len(z)
-    if window is None:
-        if delta_n is None:
-            raise ValueError("pass either window or delta_n")
-        window = int(math.ceil(delta_n ** -0.5))
-    window = max(1, min(window, n))
+    window = max(1, min(int(math.ceil(delta_n ** -0.5)), n))
     sq = z ** 2
     csum = np.concatenate([[0.0], np.cumsum(sq)])
     hi = np.minimum(np.arange(n) + window, n)
@@ -111,7 +105,7 @@ def spot_variance(z: np.ndarray, window: int | None = None,
 def _plugin_limit_variance(z: np.ndarray, p: float, alpha: float,
                            delta_n: float, horizon: float):
     """Plug-in C(T) for f = |z|^p from the observed normalised increments."""
-    w_hat = spot_variance(z, delta_n=delta_n)
+    w_hat = spot_variance(z, delta_n)
     s_grid = delta_n * np.arange(len(w_hat) + 1)
     w_path = np.concatenate([w_hat, w_hat[-1:]])[:, None]
     f = EvaluationFunction.abs_power(p)
@@ -240,22 +234,19 @@ def estimate_alpha(series, design: SamplingDesign, level: float = 0.95) -> Estim
     )
 
 
-def integrated_variance_interval(series_or_panel, design: SamplingDesign,
-                                 alpha: float, level: float = 0.95):
+def integrated_variance_interval(series, design: SamplingDesign, alpha: float,
+                                 level: float = 0.95):
     """CI for the integrated conditional variance ``int_0^T sigma^2(u(s, x)) ds``.
 
-    Uses the quadratic variation functional centered by nothing (it is the
-    point estimate) and the plug-in limit variance for its width.  Returns an
+    ``series`` holds the observations ``u(i delta_n, x)``, i = 0..n.  Uses
+    the quadratic variation functional centered by nothing (it is the point
+    estimate) and the plug-in limit variance for its width.  Returns an
     :class:`EstimateReport`.
     """
-    if isinstance(series_or_panel, IncrementPanel):
-        panel = series_or_panel
-    else:
-        panel = extract_increments(series_or_panel, design, alpha)
+    panel = extract_increments(series, design, alpha)
     z = panel.values[:, 0]
-    delta = panel.delta_n
+    delta = design.delta_n
     horizon = len(z) * delta
-    # rejects a panel off the design's step or longer than its horizon
     v = float(power_variation(2.0, panel, design, [horizon])[0])
     c_hat, law = _plugin_limit_variance(z, 2.0, alpha, delta, horizon)
     lo, hi = confidence_interval(v, c_hat, delta, level)

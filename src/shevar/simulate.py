@@ -160,7 +160,9 @@ class ModelSpec:
     def validate(self) -> None:
         """Raise ValueError unless the CLT covers this model."""
         if not self.noise.clt_in_scope:
-            raise ValueError("the CLT requires alpha < 1")
+            raise ValueError(
+                "the central limit theorem holds for alpha in (0, 1); "
+                "alpha = 1 (space-time white noise) is excluded")
         if not getattr(self.u0, "c1", False):
             raise ValueError("CLT experiments need a C^1 initial condition")
 
@@ -170,15 +172,19 @@ class ModelSpec:
 # ---------------------------------------------------------------------------
 
 
-def circulant_embedding(alpha: float, n_steps: int, pad_factor: int = 1,
-                        tol: float = 1e-10):
+# negative circulant eigenvalues down to this fraction of max(1, largest) are
+# rounding error and are clipped to zero; larger ones fail the embedding
+_EMBEDDING_TOL = 1e-10
+
+
+def circulant_embedding(alpha: float, n_steps: int, pad_factor: int = 1):
     """Eigenvalues of the circulant extension of the Gamma Toeplitz matrix.
 
     Returns ``(lam, m)`` with ``lam`` the (real) eigenvalue half-spectrum of
     the length-m circulant whose first row embeds ``Gamma_0..Gamma_{m/2}``;
     ``m`` is the padded length (power of two >= 2 * n_steps).  Raises
     :class:`EmbeddingFailure` when an eigenvalue is more negative than
-    ``-tol``; tiny negatives are clipped to zero.
+    ``-1e-10 * max(1, largest)``; tiny negatives are clipped to zero.
     """
     if n_steps < 1:
         raise ValueError("need at least one step")
@@ -187,7 +193,7 @@ def circulant_embedding(alpha: float, n_steps: int, pad_factor: int = 1,
     g = np.atleast_1d(gamma_r(alpha, np.arange(m // 2 + 1)))
     row = np.concatenate([g, g[-2:0:-1]])
     lam = np.fft.rfft(row).real
-    if lam.min() < -tol * max(1.0, lam.max()):
+    if lam.min() < -_EMBEDDING_TOL * max(1.0, lam.max()):
         raise EmbeddingFailure(
             f"negative circulant eigenvalue {lam.min():.3e} at m={m}"
         )
@@ -620,22 +626,16 @@ class ScalingFit:
         return f"ScalingFit(slope={self.slope:.4f}, lags={self.lags})"
 
 
-def moment_scaling_check(panel, lags, delta_n: float | None = None) -> ScalingFit:
+def moment_scaling_check(panel: PathPanel, lags) -> ScalingFit:
     """Fit ``log E[|u(t + l*delta) - u(t)|^2]^(1/2) ~ slope * log(l*delta)``.
 
-    ``panel`` may be a :class:`PathPanel` or a raw array whose
-    first-to-last axis layout is (..., n_times, K) (pass ``delta_n`` for raw
-    arrays).  The fitted slope estimates the temporal regularity exponent
+    ``panel`` is a :class:`PathPanel`, one path or a replicate stack.  The
+    fitted slope estimates the temporal regularity exponent
     ``1/2 - alpha/4``.
     """
-    if isinstance(panel, PathPanel):
-        values, dt = panel.values, panel.delta_n
-    else:
-        if delta_n is None:
-            raise ValueError("delta_n is required for raw arrays")
-        values, dt = np.asarray(panel, dtype=float), float(delta_n)
-        if values.ndim == 1:
-            values = values[:, None]
+    if not isinstance(panel, PathPanel):
+        raise TypeError("moment_scaling_check needs a PathPanel")
+    values, dt = panel.values, panel.delta_n
     lags = sorted(int(l) for l in set(lags))
     if len(lags) < 3:
         raise ValueError("need at least 3 distinct lags for a slope fit")

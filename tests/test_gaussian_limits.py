@@ -326,6 +326,44 @@ class TestLimitPaths:
             errs.append(abs(limit_lln(f, s, w, t)[0, 0] - exact))
         assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.15)
 
+    @pytest.mark.parametrize("n, horizon", [(1000, 1.0), (1500, 1.0), (4096, 0.01)])
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_lln_is_one_pairwise_sum(self, n, horizon, p):
+        # V_f is summed like V^n_f: delta times one np.sum over the left nodes
+        delta = horizon / n
+        w = np.random.default_rng(n).uniform(0.5, 2.0, (n + 1, 1))
+        f = EvaluationFunction.abs_power(p)
+        path = limit_lln(f, delta * np.arange(n + 1), w, [n // 2 * delta, horizon])
+        dens = abs_moment(p) * w[:, 0] ** (p / 2.0)
+        assert path[0, 0] == delta * np.sum(dens[:n // 2])
+        assert path[1, 0] == delta * np.sum(dens[:n])
+
+    def test_limit_covariance_replicate_stack(self):
+        f = EvaluationFunction(
+            [AbsPower(1.0), AbsPower(2.0, k=1), AbsPower(3.0)], n_points=2)
+        n = 200
+        s = np.arange(n + 1) / n
+        w = np.random.default_rng(5).uniform(0.5, 2.0, (3, n + 1, 2))
+        t = [0.3, 1.0]
+        law = limit_covariance(f, s, w, t, alpha=0.5)
+        assert law.v_path.shape == (3, 2, 3) and law.c_path.shape == (3, 2, 3, 3)
+        for i in range(3):
+            one = limit_covariance(f, s, w[i], t, alpha=0.5)
+            assert np.array_equal(law.v_path[i], one.v_path)
+            assert np.array_equal(law.c_path[i], one.c_path)
+        unit = limit_covariance(f, np.array([0.0, 1.0]), np.ones((2, 2)),
+                                np.array([1.0]), alpha=0.5)
+        assert np.array_equal(law.series, unit.c_path[0])
+        law.validate()
+
+    def test_non_uniform_grid_rejected(self):
+        f = EvaluationFunction.abs_power(2.0)
+        s = np.array([0.0, 0.1, 0.3, 1.0])
+        with pytest.raises(ValueError, match="uniform"):
+            limit_lln(f, s, np.ones((4, 1)), [1.0])
+        with pytest.raises(ValueError, match="uniform"):
+            limit_covariance(f, s, np.ones((4, 1)), [1.0], alpha=0.5)
+
     def test_limit_covariance_closed_form(self):
         f = EvaluationFunction.abs_power(2.0)
         s = np.linspace(0.0, 1.0, 201)

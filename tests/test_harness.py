@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import kolmogorov, ndtr
 
 from shevar.cli import main as cli_main
 from shevar.gaussian_limits import EvaluationFunction, limit_covariance, rho
@@ -17,7 +17,6 @@ from shevar.harness import (
     ConfigError,
     ExperimentReport,
     default_config,
-    ks_pvalue,
     ks_statistic,
     load_config,
     parse_config,
@@ -35,7 +34,7 @@ from shevar.simulate import (
     simulate_spde_batch,
     simulate_stationary_increments_batch,
 )
-from shevar.variations import SamplingDesign
+from shevar.variations import SamplingDesign, extract_increments, variation_functional
 
 
 class TestConfig:
@@ -169,18 +168,14 @@ class TestKolmogorovSmirnov:
         x = np.random.default_rng(seed).standard_normal(50)
         assert ks_statistic(x) == pytest.approx(self.brute_force(x), abs=1e-14)
 
-    def test_pvalue_limits(self):
-        assert ks_pvalue(1e-9, 100) == pytest.approx(1.0)
-        assert ks_pvalue(0.9, 100) < 1e-10
-
     def test_normal_sample_not_rejected(self):
         x = np.random.default_rng(11).standard_normal(500)
         d = ks_statistic(x)
-        assert ks_pvalue(d, 500) > 0.01
+        assert kolmogorov(math.sqrt(500) * d) > 0.01
 
     def test_shifted_sample_rejected(self):
         x = np.random.default_rng(12).standard_normal(500) + 1.0
-        assert ks_pvalue(ks_statistic(x), 500) < 1e-6
+        assert kolmogorov(math.sqrt(500) * ks_statistic(x)) < 1e-6
 
 
 class TestRunners:
@@ -255,6 +250,34 @@ class TestRunners:
             want = estimate_sigma0(2.0, paths.values[i, :, 0], design, alpha, tau=tau)
             assert row["estimate"] == want.estimate
             assert row["se"] == want.se
+
+    def test_clt_spde_rows_follow_the_limit_law(self):
+        # each row is centred and studentised by limit_covariance on the
+        # replicate stack of sigma(u)^2 paths
+        cfg = default_config("clt").replace(**{
+            "driver": "spde", "model.sigma.kind": "linear",
+            "model.sigma.sigma0": 0.5, "design.n": 256, "design.horizon": 0.01,
+            "design.spatial_modes": 256, "design.oversampling": 2,
+            "replicates": 3, "seed": 43})
+        rep = run_experiment(cfg)
+        alpha = cfg["model.alpha"]
+        design = SamplingDesign(delta_n=0.01 / 256, horizon=0.01,
+                                spatial_modes=256, oversampling=2)
+        model = ModelSpec(noise=NoiseParams(alpha, 1), sigma=SigmaLinear(0.5),
+                          u0=U0Constant(1.0))
+        paths = simulate_spde_batch(model, design, [RngStream(43, i) for i in range(3)],
+                                    workers=1).drop_burn_in()
+        tau = math.sqrt(scheme_increment_variance(alpha, design.delta_n, 256))
+        panel = extract_increments(paths.values, design, alpha, tau=tau)
+        f = EvaluationFunction.abs_power(2.0)
+        t_grid = [128 * design.delta_n, design.horizon]
+        v_n = variation_functional(f, panel, design, t_grid)[..., 1, 0]
+        law = limit_covariance(f, design.times(), np.square(0.5 * paths.values),
+                               t_grid, alpha)
+        stat = (v_n - law.v_path[:, 1, 0]) / math.sqrt(design.delta_n)
+        for i, row in enumerate(rep.rows):
+            assert row["stat"] == stat[i]
+            assert row["c_plug"] == law.c_path[i, 1, 0, 0]
 
     def test_clt_rejects_alpha_one(self):
         cfg = default_config("clt").replace(**{"model.alpha": 1.0})

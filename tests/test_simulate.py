@@ -347,20 +347,22 @@ class TestScalingChecks:
                 alpha, n, [RngStream(20, i) for i in range(12)])
             u = np.concatenate([np.zeros((12, 1)),
                                 np.cumsum(scale * z, axis=1)], axis=1)
-            fit = moment_scaling_check(u[:, :, None], [1, 2, 4, 8, 16, 32],
-                                       delta_n=delta)
+            paths = PathPanel(times=delta * np.arange(n + 1), points=(0.0,),
+                              values=u[:, :, None])
+            fit = moment_scaling_check(paths, [1, 2, 4, 8, 16, 32])
             assert abs(fit.slope - target) < 0.02
 
     def test_smooth_path_slope_one(self):
         t = np.linspace(0.0, 1.0, 513)
-        fit = moment_scaling_check(t[:, None], [1, 2, 4, 8], delta_n=t[1])
+        fit = moment_scaling_check(PathPanel(times=t, points=(0.0,), values=t), [1, 2, 4, 8])
         assert fit.slope > 0.99
 
     def test_lag_validation(self):
+        paths = PathPanel(times=0.1 * np.arange(10), points=(0.0,), values=np.zeros(10))
         with pytest.raises(ValueError):
-            moment_scaling_check(np.zeros((10, 1)), [1, 2], delta_n=0.1)
+            moment_scaling_check(paths, [1, 2])
         with pytest.raises(ValueError):
-            moment_scaling_check(np.zeros((10, 1)), [1, 2, 20], delta_n=0.1)
+            moment_scaling_check(paths, [1, 2, 20])
 
     def test_spatial_slope_on_additive_field(self):
         # shifts must sit well inside the field's correlation length sqrt(t),

@@ -118,7 +118,8 @@ def estimate_sigma0(p: float, series, design: SamplingDesign, alpha: float,
                     tau: float | None = None) -> EstimateReport:
     """Volatility estimator ``(V^n_p / (m_p delta_n sum_i |u(i delta)|^p))^(1/p)``.
 
-    ``series`` holds the observations ``u(i delta_n, x)``, i = 0..n.  For the
+    ``series`` holds the observations ``u(i delta_n, x)``, i = 0..n; the
+    denominator sums the left nodes i = 0..n-1, as ``limit_lln`` does.  For the
     linear coefficient the p-th power of the estimate is weakly consistent
     for ``sigma0^p``; for a constant coefficient pass
     ``force_unit_denominator=True`` to replace the denominator by
@@ -140,7 +141,7 @@ def estimate_sigma0(p: float, series, design: SamplingDesign, alpha: float,
     if force_unit_denominator:
         denom = m_p * horizon
     else:
-        denom = m_p * design.delta_n * float(np.sum(np.abs(u[1:]) ** p))
+        denom = m_p * design.delta_n * float(np.sum(np.abs(u[:-1]) ** p))
     if denom <= 0 or not math.isfinite(denom):
         raise DegeneratePath(f"denominator {denom!r} is not positive")
 

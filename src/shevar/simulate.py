@@ -14,8 +14,9 @@ Two generators live here:
   of each micro-step is sampled in Fourier space with mode variances equal
   to the spectral-cell masses of ``|xi|^(alpha-1) dxi``, multiplied by
   ``sigma(u)`` pointwise in physical space, and convolved with the semigroup
-  over the micro-step (per-mode damping), which makes the scheme exact for
-  constant sigma.
+  over the micro-step (per-mode damping).  For constant sigma each mode is
+  then an exact Ornstein-Uhlenbeck transition, so the scheme takes one step
+  per observation and ignores ``oversampling``.
 
 Paths live in one container, :class:`PathPanel`: one path ``(n_times, K)``
 or a replicate stack ``(R, n_times, K)``, as :func:`simulate_spde_batch`
@@ -492,6 +493,14 @@ def simulate_spde_batch(model: ModelSpec, design: SamplingDesign, streams,
     transform).  Values are recorded at observation times in float64 and
     returned as a replicate stack ``(R, n_times, K)``, burn-in included.
 
+    For constant sigma the step is the whole observation step ``delta_n``
+    (``design.oversampling`` is ignored): mode k advances by the exact
+    Ornstein-Uhlenbeck transition, mean factor ``exp(-lambda_k delta_n)`` and
+    noise variance ``q_k (1 - exp(-2 lambda_k delta_n)) / (2 lambda_k)``
+    (``q_0 delta_n`` for the Brownian mode 0), the law of any number of
+    composed micro-steps.  ``meta`` records the ``oversampling`` used and
+    the ``micro_steps`` taken.
+
     ``workers`` threads run the FFT batches and the random draws (each
     thread fills its own block of streams); None uses every core this
     process may run on.  The thread count never changes the values.
@@ -501,7 +510,11 @@ def simulate_spde_batch(model: ModelSpec, design: SamplingDesign, streams,
     alpha = model.noise.alpha
     n = design.spatial_modes
     kk = n // 2
-    over = design.oversampling
+    sigma_fn = model.sigma
+    sigma_const = getattr(sigma_fn, "is_constant", False)
+    # constant sigma: one exact OU transition per observation step has the
+    # law of any number of composed micro-steps, so oversampling is moot
+    over = 1 if sigma_const else design.oversampling
     delta = design.delta_n / over
     burn = design.default_burn_in(alpha)
     n_obs = design.n_steps + burn
@@ -537,8 +550,6 @@ def simulate_spde_batch(model: ModelSpec, design: SamplingDesign, streams,
             )
 
     record(0, u_phys, uhat)
-    sigma_fn = model.sigma
-    sigma_const = getattr(sigma_fn, "is_constant", False)
 
     # chunked noise pre-generation: cap the spectral scratch at ~50 MB
     chunk = max(1, min(_NOISE_CHUNK, int(6e6 / max(1, n_rep * (kk + 1)))))
@@ -570,12 +581,12 @@ def simulate_spde_batch(model: ModelSpec, design: SamplingDesign, streams,
                 np.multiply(uhat, semigroup, out=uhat)
                 what *= damp
                 uhat += what
+                # constant sigma records every step, so only a non-constant
+                # sigma reads the field between observations
+                u_phys = sfft.irfft(uhat, n=n, axis=-1, workers=workers)
                 g = step + j + 1
                 if g % over == 0:
-                    u_phys = sfft.irfft(uhat, n=n, axis=-1, workers=workers)
                     record(g // over, u_phys, uhat)
-                elif not sigma_const:
-                    u_phys = sfft.irfft(uhat, n=n, axis=-1, workers=workers)
             step += cl
 
     meta = {
@@ -585,6 +596,7 @@ def simulate_spde_batch(model: ModelSpec, design: SamplingDesign, streams,
         "u0": repr(model.u0),
         "spatial_modes": n,
         "oversampling": over,
+        "micro_steps": n_micro,
         "burn_in": burn,
         "dtype": np.dtype(dtype).name,
         "n_replicates": n_rep,

@@ -31,9 +31,10 @@ class SamplingDesign:
     ``i = 0..floor(T/delta_n)``; ``points`` are the observed spatial
     locations on the unit torus; ``n_lags`` is the window length L of the
     variation functional.  ``spatial_modes`` and ``oversampling`` control the
-    spectral simulation scheme; ``burn_in`` (observation steps discarded
-    before statistics) defaults to ``max(64, ceil(delta_n^(-1/(2+alpha))))``
-    when left as None.
+    spectral simulation scheme (constant sigma ignores ``oversampling``: it
+    takes one exact step per observation); ``burn_in`` (observation steps
+    discarded before statistics) defaults to
+    ``max(64, ceil(delta_n^(-1/(2+alpha))))`` when left as None.
     """
 
     delta_n: float

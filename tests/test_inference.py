@@ -6,7 +6,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from shevar.gaussian_limits import _pairing_series
+from shevar.gaussian_limits import EvaluationFunction, _pairing_series, limit_lln
 from shevar.inference import (
     DegeneratePath,
     EstimateReport,
@@ -19,7 +19,7 @@ from shevar.inference import (
 )
 from shevar.kernels import NoiseParams, tau_n
 from shevar.simulate import RngStream, simulate_stationary_increments_batch
-from shevar.variations import SamplingDesign
+from shevar.variations import SamplingDesign, extract_increments, power_variation
 
 
 def additive_path(alpha, n, sigma0=1.0, stream=0, horizon=1.0):
@@ -39,6 +39,21 @@ class TestEstimateSigma0:
         assert b.estimate == pytest.approx(a.estimate, rel=1e-12)
         assert b.diagnostics["estimate_pth_power"] == pytest.approx(
             a.diagnostics["estimate_pth_power"], rel=1e-12)
+
+    def test_denominator_sums_left_nodes(self):
+        # the denominator is V_f(T) of sigma(u) = u, summed over the left
+        # nodes u_0..u_{n-1} as limit_lln sums it; a drifting path has
+        # |u_n| != |u_0|, so summing u_1..u_n instead moves it
+        u, design = additive_path(0.5, 512)
+        u = u + 2.0 + 3.0 * design.times()
+        for p in (1.0, 2.0):
+            rep = estimate_sigma0(p, u, design, alpha=0.5)
+            incr = extract_increments(u, design, 0.5)
+            v_np = power_variation(p, incr, design, [design.horizon])[0]
+            v_f = limit_lln(EvaluationFunction.abs_power(p), design.times(),
+                            u[:, None] ** 2, [design.horizon])[0, 0]
+            assert rep.diagnostics["estimate_pth_power"] == pytest.approx(
+                v_np / v_f, rel=1e-12)
 
     def test_forced_denominator_recovers_sigma0(self):
         sigma0 = 0.7

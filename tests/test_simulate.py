@@ -296,6 +296,72 @@ class TestSpdeScheme:
         subset = simulate_spde_batch(model, des, [streams[2], streams[5]]).values
         assert np.array_equal(subset, one[[2, 5]])
 
+    def test_constant_sigma_ignores_oversampling(self):
+        # one exact OU transition per observation step, whatever oversampling says
+        model = ModelSpec(noise=NoiseParams(0.5, 1), sigma=SigmaConstant(1.3),
+                          u0=U0SmoothPeriodic(c0=0.5, cos_coeffs=(0.3,)))
+        streams = [RngStream(14, i) for i in range(3)]
+        batches = [simulate_spde_batch(
+            model, self.design(points=(0.25, 1.0 / 3.0), oversampling=over), streams)
+            for over in (1, 4, 16)]
+        for batch in batches[1:]:
+            assert np.array_equal(batch.values, batches[0].values)
+        for batch in batches:
+            assert batch.meta["oversampling"] == 1
+            assert batch.meta["micro_steps"] == len(batch.times) - 1
+
+    def test_meta_counts_micro_steps(self):
+        model = ModelSpec(noise=NoiseParams(0.5, 1), sigma=SigmaLinear(0.5),
+                          u0=U0Constant(1.0))
+        des = self.design(oversampling=4, burn_in=8)
+        batch = simulate_spde_batch(model, des, [RngStream(15)])
+        assert batch.meta["oversampling"] == 4
+        assert batch.meta["micro_steps"] == (des.n_steps + 8) * 4
+
+    def test_constant_sigma_law_is_exact(self):
+        """From u0 = 0 the field's second moments are those of the exact OU modes.
+
+        ``E u(t)^2 = sum_k w_k q_k (1 - exp(-2 lambda_k t)) / (2 lambda_k)``
+        (``q_0 t`` for mode 0), with weights 1, 2, ..., 2, 1 over the
+        half-spectrum.  At N = 64 the high modes have ``lambda_k delta_n``
+        up to 2, so a step that got the damping wrong misses by far more
+        than the 4 SE allowed here.
+        """
+        alpha, n_modes, dn, n_rep = 0.5, 64, 1e-4, 4000
+        des = SamplingDesign(delta_n=dn, horizon=128 * dn,
+                             points=tuple(np.arange(8) / 8.0),
+                             spatial_modes=n_modes, oversampling=4, burn_in=0)
+        model = ModelSpec(noise=NoiseParams(alpha, 1), sigma=SigmaConstant(1.0),
+                          u0=U0Constant(0.0))
+        batch = simulate_spde_batch(model, des,
+                                    [RngStream(16, i) for i in range(n_rep)],
+                                    dtype=np.float64)
+        q = spectral_cell_masses(alpha, n_modes)
+        lam = 2.0 * math.pi ** 2 * np.arange(1, len(q)) ** 2
+        wts = np.full(len(q), 2.0)
+        wts[0] = 1.0
+        wts[-1] = 1.0
+
+        def check(per_stream, target):
+            # points share a field, so the SE comes from per-stream means
+            est = float(np.mean(per_stream))
+            se = float(np.std(per_stream, ddof=1) / math.sqrt(n_rep))
+            assert abs(est - target) < 4.0 * se, (est, target, se)
+
+        for i in (1, 4, 16, 64, 128):
+            t = batch.times[i]
+            v = np.concatenate([[q[0] * t],
+                                q[1:] * -np.expm1(-2.0 * lam * t) / (2.0 * lam)])
+            check(np.mean(batch.values[:, i] ** 2, axis=-1), float(np.dot(wts, v)))
+        # increments past step 64, where the start-up transient moves the
+        # stationary moments by at most 0.35% (about 0.25 SE)
+        inc = np.diff(batch.values, axis=1)[:, 64:]
+        check(np.mean(inc ** 2, axis=(1, 2)),
+              scheme_increment_variance(alpha, dn, n_modes))
+        for r in (1, 2):
+            check(np.mean(inc[:, r:] * inc[:, :-r], axis=(1, 2)),
+                  scheme_increment_autocov(alpha, dn, n_modes, r))
+
     def test_self_convergence_in_oversampling(self):
         """Halving the micro-step moves V^n_2 by less than the MC error."""
         n_rep = 160

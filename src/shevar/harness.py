@@ -549,6 +549,30 @@ def _increment_scale(alpha: float, design: SamplingDesign, normalization: str) -
                                                design.spatial_modes))
 
 
+# increments the exact driver draws and reduces at a time (4 MB of float64):
+# one block's draws and their statistic are the only stacks alive at once
+_EXACT_BLOCK = 2 ** 19
+
+
+def _exact_variation(f: EvaluationFunction, alpha: float, design: SamplingDesign,
+                     streams, t_grid) -> np.ndarray:
+    """:func:`variation_functional` of exact increments, one row per stream.
+
+    Streams are drawn and reduced in consecutive blocks of about
+    ``_EXACT_BLOCK`` increments, so memory does not grow with their number.
+    Each row depends on its own stream alone, so the rows are those of one
+    call on the whole stack.
+    """
+    n = design.n_steps
+    per_block = max(1, _EXACT_BLOCK // n)
+    blocks = []
+    for i in range(0, len(streams), per_block):
+        z = simulate_stationary_increments_batch(alpha, n, streams[i:i + per_block])
+        panel = IncrementPanel(z[..., None], design.delta_n)
+        blocks.append(variation_functional(f, panel, design, t_grid))
+    return np.concatenate(blocks)
+
+
 def _sample_paths(model: ModelSpec, design: SamplingDesign, driver: str, streams,
                   workers: int | None = None) -> PathPanel:
     """Replicate stack of paths on ``design``, one per stream, burn-in still in.
@@ -562,9 +586,11 @@ def _sample_paths(model: ModelSpec, design: SamplingDesign, driver: str, streams
     alpha = model.noise.alpha
     scale = model.sigma(None) * tau_n(NoiseParams(alpha, 1), design.delta_n)
     z = simulate_stationary_increments_batch(alpha, design.n_steps, streams)
-    u = np.concatenate([np.zeros((len(z), 1)), np.cumsum(scale * z, axis=1)], axis=1)
+    z *= scale
+    u = np.zeros((len(z), design.n_steps + 1, 1))
+    np.cumsum(z, axis=1, out=u[:, 1:, 0])
     return PathPanel(times=design.times(), points=design.points[:1],
-                     values=u[:, :, None], meta={"driver": "exact", "alpha": alpha})
+                     values=u, meta={"driver": "exact", "alpha": alpha})
 
 
 # ---------------------------------------------------------------------------
@@ -659,10 +685,8 @@ def run_lln(cfg: Config, workers: int | None = None) -> ExperimentReport:
     for rung, log2n in enumerate(ladder):
         n = 2 ** log2n
         design = SamplingDesign(delta_n=1.0 / n, horizon=1.0)
-        z = simulate_stationary_increments_batch(
-            alpha, n, _streams(cfg, n_rep, salt=rung))
-        panel = IncrementPanel(z[..., None], design.delta_n)
-        v_n = variation_functional(f, panel, design, [1.0])[:, 0]
+        v_n = _exact_variation(f, alpha, design, _streams(cfg, n_rep, salt=rung),
+                               [1.0])[:, 0]
         for m, p in enumerate(powers):
             v = v_n[:, m]
             target = abs_moment(p)
@@ -715,20 +739,19 @@ def run_clt(cfg: Config, workers: int | None = None) -> ExperimentReport:
     delta, n = design.delta_n, design.n_steps
     half = n // 2
 
+    f = EvaluationFunction.abs_power(p, n_points=design.n_points)
+    t_grid = [half * delta, design.horizon]
     if driver == "exact":
-        z = simulate_stationary_increments_batch(alpha, n, _streams(cfg, n_rep))
-        panel = IncrementPanel(z[..., None], delta)
+        v_n = _exact_variation(f, alpha, design, _streams(cfg, n_rep), t_grid)
         w = np.ones((n + 1, 1))
     else:
         paths = _sample_paths(model, design, driver, _streams(cfg, n_rep),
                               workers).drop_burn_in()
         tau = _increment_scale(alpha, design, cfg["clt.normalization"])
         panel = extract_increments(paths.values, design, alpha, tau=tau)
+        v_n = variation_functional(f, panel, design, t_grid)
         w = np.square(np.broadcast_to(model.sigma(paths.values), paths.values.shape))
-
-    f = EvaluationFunction.abs_power(p, n_points=panel.n_points)
-    t_grid = [half * delta, design.horizon]
-    v_n = variation_functional(f, panel, design, t_grid)[..., 0]
+    v_n = v_n[..., 0]
     law = limit_covariance(f, design.times(), w, t_grid, alpha)
     stat = clt_statistic(v_n, np.broadcast_to(law.v_path[..., 0], v_n.shape), delta)
     v_full, stat_half, stat_full = v_n[:, 1], stat[:, 0], stat[:, 1]

@@ -4,12 +4,16 @@ import inspect
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 from scipy.special import kolmogorov, ndtr
 
+import shevar
+import shevar.harness as harness
 from shevar.cli import main as cli_main
 from shevar.gaussian_limits import EvaluationFunction, limit_covariance, rho
 from shevar.harness import (
@@ -353,6 +357,62 @@ class TestRunners:
         assert (tmp_path / "paths" / "path_0000.csv").exists()
         assert (tmp_path / "report.json").exists()
         assert (tmp_path / "replicates.csv").exists()
+
+
+class TestExactBlocks:
+    """The exact driver draws and reduces its replicates block by block."""
+
+    REPLICATES = 7
+    CONFIGS = {
+        "clt_p1": ("clt", {"functional.p": 1.0, "design.n": 256}),
+        "clt_p2": ("clt", {"functional.p": 2.0, "design.n": 256}),
+        "lln": ("lln", {"functional.powers": [2.0, 1.5], "lln.ladder": [6, 7, 8]}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_rows_do_not_depend_on_block_size(self, name, monkeypatch):
+        kind, over = self.CONFIGS[name]
+        r = self.REPLICATES
+        cfg = default_config(kind).replace(**over, replicates=r)
+        sizes = ([2 ** e for e in over["lln.ladder"]] if kind == "lln"
+                 else [over["design.n"]])
+        sampler = harness.simulate_stationary_increments_batch
+        calls = []
+
+        def counted(alpha, n_steps, streams):
+            calls.append(len(streams))
+            return sampler(alpha, n_steps, streams)
+
+        monkeypatch.setattr(harness, "simulate_stationary_increments_batch", counted)
+        reports = []
+        # one replicate per block, a ragged last block, one block per run
+        for block in (min(sizes), 3 * max(sizes), r * max(sizes)):
+            monkeypatch.setattr(harness, "_EXACT_BLOCK", block)
+            calls.clear()
+            reports.append(run_experiment(cfg))
+            per_block = [max(1, block // n) for n in sizes]
+            assert calls == [min(k, r - i) for k in per_block for i in range(0, r, k)]
+        for rep in reports[1:]:
+            assert rep.rows == reports[0].rows
+            assert rep.summary == reports[0].summary
+
+    def test_clt_memory_does_not_grow_with_replicates(self):
+        # a (500, 2^14) stack of increments alone is 64 MB
+        script = (
+            "import resource\n"
+            "from shevar.harness import default_config, run_experiment\n"
+            "cfg = default_config('clt').replace(**{'design.n': 2 ** 14,\n"
+            "    'replicates': 500, 'functional.p': 2.0})\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "run_experiment(cfg, workers=1)\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print((after - before) / 1024.0)\n"
+        )
+        src = os.path.dirname(os.path.dirname(shevar.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert float(out) < 64.0
 
 
 class TestReports:

@@ -70,6 +70,17 @@ class TestCirculantEmbedding:
         g = np.asarray(gamma_r(alpha, np.arange(257)))
         assert np.max(np.abs(emb - g)) <= 1e-12
 
+    def test_cached_and_read_only(self):
+        lam, m = circulant_embedding(0.5, 300)
+        again, m_again = circulant_embedding(0.5, 300)
+        assert again is lam and m_again == m
+        assert not lam.flags.writeable
+        with pytest.raises(ValueError):
+            lam[0] = 0.0
+        emb = embedding_autocovariance(0.5, 300)
+        g = np.asarray(gamma_r(0.5, np.arange(301)))
+        assert np.max(np.abs(emb - g)) <= 1e-12
+
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_eigenvalues_nonnegative(self, alpha):
         lam, m = circulant_embedding(alpha, 4096)

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 
 class WhiteNoiseCase(ValueError):
@@ -254,6 +253,10 @@ def pi_mass(alpha: float, r: int, tol: float = 1e-9) -> float:
         raise ValueError(f"alpha must lie in (0, 1) for the quadrature check, got {alpha}")
     if r < 0 or r != int(r):
         raise ValueError("r must be a nonnegative integer")
+    # imported here, not at module level: scipy.integrate drags in
+    # scipy.optimize, scipy.sparse and scipy.linalg, which nothing else needs
+    from scipy import integrate
+
     r = int(r)
     scale = 1.0 - alpha / 2.0
 

@@ -215,10 +215,10 @@ def embedding_autocovariance(alpha: float, n_steps: int) -> np.ndarray:
     return row[: n_steps + 1]
 
 
-def _draw_increments(lam: np.ndarray, m: int, gen: np.random.Generator,
+def _draw_increments(scale: np.ndarray, m: int, gen: np.random.Generator,
                      n_steps: int) -> np.ndarray:
+    """One exact draw; ``scale`` is ``sqrt(lam / m)`` of the embedding."""
     mh = m // 2
-    scale = np.sqrt(lam / m)
     # xi then eta from one call: the same stream order as two draws
     xi, eta = np.split(gen.standard_normal(2 * (mh + 1)), 2)
     half = np.empty(mh + 1, dtype=complex)
@@ -254,7 +254,8 @@ def simulate_stationary_increments_batch(alpha: float, n_steps: int,
     # one array per stream, stacked once.  At the harness's blocks of about
     # 2^19 increments a preallocated output peaks no lower; at a whole
     # (500, 2^14) stack it kept more heap alive over repeated runs
-    rows = [_draw_increments(lam, m, _as_generator(s), n_steps) for s in streams]
+    scale = np.sqrt(lam / m)
+    rows = [_draw_increments(scale, m, _as_generator(s), n_steps) for s in streams]
     return np.vstack(rows)
 
 
@@ -339,8 +340,13 @@ def sample_noise_increments(alpha: float, n_modes: int, delta: float,
 
     Returns ``(n_fields, n_modes)`` grid samples of the Gaussian field whose
     spatial covariance is the spectral-cell approximation of the Riesz
-    covariance, scaled by ``delta`` (white in time).  This is exactly the
-    noise injected per micro-step by :func:`simulate_spde_batch`.
+    covariance, scaled by ``delta`` (white in time).  For non-constant sigma
+    it is exactly the field that :func:`simulate_spde_batch` draws per
+    micro-step (``delta = delta_n / oversampling``) and multiplies by
+    ``sigma(u)``.  Constant sigma instead takes one Ornstein-Uhlenbeck step
+    of ``delta = delta_n`` per observation step, and injects sigma times
+    this noise in Fourier space with mode k damped by
+    ``sqrt((1 - exp(-2 lambda_k delta)) / (2 lambda_k delta))``.
     """
     gen = _as_generator(rng)
     kk = n_modes // 2

@@ -3,7 +3,9 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS line per
 criterion with its runtime.  The heavy Monte Carlo criteria (6, 7, 8) take
 several minutes each on one core; the whole suite is sized for roughly half
-an hour.  Every run is fully deterministic given the seeds fixed here.
+an hour.  Criteria 7 and 8 carry the ``slow`` marker, so
+``pytest -m "not slow"`` gives a quick loop without them.  Every run is fully
+deterministic given the seeds fixed here.
 """
 
 import math
@@ -155,6 +157,7 @@ def test_06_clt_additive():
     _report(6, "CLT additive", rep.passed, t0, detail)
 
 
+@pytest.mark.slow
 def test_07_clt_multiplicative():
     """No asymptotic bias for the linear coefficient: centered statistic is
     mixed Gaussian already at the simulated scale."""
@@ -184,6 +187,7 @@ def test_07_clt_multiplicative():
     _report(7, "CLT multiplicative", ok, t0, detail)
 
 
+@pytest.mark.slow
 def test_08_estimator():
     """Volatility estimator: mean within 5% on the linear model; 95% CI
     coverage inside [0.91, 0.99] in the additive calibration case."""

@@ -1,6 +1,10 @@
 """Constants, autocovariance algebra and the quadrature mass identity."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -8,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shevar
 from shevar.kernels import (
     NoiseParams,
     WhiteNoiseCase,
@@ -231,6 +236,33 @@ class TestPiMass:
     def test_grid_subset(self, alpha):
         for r in range(13):
             assert abs(pi_mass(alpha, r) - float(gamma_r(alpha, r))) <= 1e-6
+
+    def test_import_leaves_quadrature_unloaded(self):
+        # scipy.integrate pulls in optimize, sparse and linalg: about 25 MB
+        # and 0.2 s of every process that imports shevar
+        heavy = ["scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg",
+                 "scipy.stats", "scipy.spatial", "scipy.interpolate"]
+        script = (
+            "import json, sys\n"
+            "import shevar, shevar.cli\n"
+            f"heavy = {heavy!r}\n"
+            "def loaded():\n"
+            "    return [h for h in heavy\n"
+            "            if any(m == h or m.startswith(h + '.') for m in sys.modules)]\n"
+            "before = loaded()\n"
+            "value = shevar.kernels.pi_mass(0.5, 2)\n"
+            "print(json.dumps({'before': before, 'after': loaded(), 'value': value,\n"
+            "                  'gamma': float(shevar.kernels.gamma_r(0.5, 2))}))\n"
+        )
+        src = os.path.dirname(os.path.dirname(shevar.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = json.loads(subprocess.run([sys.executable, "-c", script], env=env,
+                                        check=True, capture_output=True,
+                                        text=True).stdout)
+        assert out["before"] == []
+        assert "scipy.integrate" in out["after"]
+        # pi_mass accepts a summed error estimate of up to 10 * tol = 1e-8
+        assert out["value"] == pytest.approx(out["gamma"], abs=1e-8)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

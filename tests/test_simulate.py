@@ -16,6 +16,7 @@ from shevar.simulate import (
     SigmaLinear,
     U0Constant,
     U0SmoothPeriodic,
+    _observation_weights,
     circulant_embedding,
     embedding_autocovariance,
     moment_scaling_check,
@@ -320,6 +321,21 @@ class TestSpdeScheme:
         for batch in batches:
             assert batch.meta["oversampling"] == 1
             assert batch.meta["micro_steps"] == len(batch.times) - 1
+
+    @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_off_grid_weights_agree_on_grid(self, dtype, rtol):
+        # an off-grid point makes every point go through the band-limited
+        # weights; at a grid point they must reproduce the grid value
+        model = ModelSpec(noise=NoiseParams(0.5, 1), sigma=SigmaLinear(0.5),
+                          u0=U0SmoothPeriodic(c0=1.0, cos_coeffs=(0.3,)))
+        streams = [RngStream(17, i) for i in range(4)]
+        mixed = (0.25, 1.0 / 3.0)
+        assert _observation_weights(mixed, 128)[0] is None
+        on, off = (simulate_spde_batch(
+            model, self.design(points=pts, spatial_modes=128, oversampling=4),
+            streams, dtype=dtype).values for pts in ((0.25,), mixed))
+        err = np.max(np.abs(off[..., 0] - on[..., 0])) / np.max(np.abs(on[..., 0]))
+        assert err < rtol
 
     def test_meta_counts_micro_steps(self):
         model = ModelSpec(noise=NoiseParams(0.5, 1), sigma=SigmaLinear(0.5),

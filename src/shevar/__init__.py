@@ -28,14 +28,11 @@ from .kernels import (
     tau_n,
 )
 from .gaussian_limits import (
-    AbsMultipower,
     AbsPower,
-    Custom,
     EvaluationFunction,
     InvalidShift,
     LimitLaw,
     MonteCarlo,
-    SignedMonomial,
     build_joint_cov,
     build_within_cov,
     limit_covariance,

@@ -9,7 +9,8 @@ Usage::
 Experiments: identities, lln, clt, estimate, scaling, simulate.  Options
 layer as defaults < config file < command line flags.  Exit status is 0 iff
 every configured tolerance passed (or, with --verify-report, iff the stored
-report reproduces exactly).
+report reproduces exactly).  A config that does not parse, or a report that
+cannot be read or whose config does not parse, exits with status 2.
 """
 
 from __future__ import annotations
@@ -51,7 +52,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.verify_report:
-        ok = verify_report(args.verify_report)
+        try:
+            ok = verify_report(args.verify_report)
+        except (OSError, ConfigError) as exc:
+            print(f"verify {args.verify_report}: cannot verify: {exc}", file=sys.stderr)
+            return 2
         print(f"verify {args.verify_report}: {'MATCH' if ok else 'MISMATCH'}")
         return 0 if ok else 1
 

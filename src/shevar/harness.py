@@ -342,6 +342,11 @@ def _validate(data: dict) -> dict:
     if driver == "exact" and out.get("clt.normalization") == "continuum":
         raise ConfigError("clt.normalization = continuum applies to driver = spde "
                           "only; the exact sampler is normalised by tau_n")
+    if out.get("replicates", 1) < 1:
+        raise ConfigError(f"replicates must be at least 1, got {out['replicates']}")
+    if out.get("threads", 0) < 0:
+        raise ConfigError(f"threads must be nonnegative (0 picks the default), "
+                          f"got {out['threads']}")
     if out.get("design.lags", 1) != 1:
         raise ConfigError("design.lags must be 1: every runner uses one-lag windows")
     if out.get("model.dim", 1) != 1:
@@ -524,7 +529,6 @@ def _design_from(cfg: Config) -> SamplingDesign:
         delta_n=horizon / n,
         horizon=horizon,
         points=tuple(cfg["design.points"]),
-        n_lags=cfg["design.lags"],
         spatial_modes=cfg["design.spatial_modes"],
         oversampling=cfg["design.oversampling"],
         burn_in=None if burn < 0 else burn,
@@ -600,7 +604,12 @@ def _sample_paths(model: ModelSpec, design: SamplingDesign, driver: str, streams
 
 def run_identities(cfg: Config, workers: int | None = None) -> ExperimentReport:
     """Exact-identity sweep: quadrature mass vs closed form, partial sums,
-    Toeplitz positivity, pairing expansion vs Monte Carlo, normal moments."""
+    Toeplitz positivity, and the Monte Carlo backend against closed forms.
+
+    ``rho_isserlis_vs_mc`` checks the lag covariance of ``|z|^2``, which
+    ``rho`` takes from Nabeya's formula and which equals Isserlis'
+    ``2 Gamma_r^2``; ``abs_moment_vs_mc`` checks the normal moments ``m_p``.
+    """
     alphas = [float(a) for a in cfg["identities.alphas"]]
     rows = []
 
@@ -635,7 +644,7 @@ def run_identities(cfg: Config, workers: int | None = None) -> ExperimentReport:
         add("toeplitz_psd", a, max(0.0, -eig_min), -cfg["tolerances.psd_min"],
             {"min_eigenvalue": eig_min})
 
-    # pairing expansion against the MC backend for the quadratic component
+    # closed-form lag covariance of |z|^2 against the MC backend
     mc = MonteCarlo(n_pairs=cfg["identities.mc_pairs"])
     f = EvaluationFunction.abs_power(2.0)
     mult = cfg["tolerances.rho_se_mult"]
@@ -909,7 +918,7 @@ def run_scaling(cfg: Config, workers: int | None = None) -> ExperimentReport:
             spacing = 1.0 / (64 * max(shifts))
             pts = tuple(np.arange(4 * max(shifts)) * spacing)
             spatial = SamplingDesign(
-                delta_n=5e-4, horizon=0.15, points=pts, n_lags=1,
+                delta_n=5e-4, horizon=0.15, points=pts,
                 spatial_modes=max(2048, cfg["design.spatial_modes"]),
                 oversampling=1, burn_in=100)
             paths = _sample_paths(model, spatial, "spde",

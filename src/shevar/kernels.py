@@ -202,15 +202,6 @@ def gamma_sq_tail_bound(alpha: float, r_min: int) -> float:
     return c * c * (r_min - 1.0) ** (2.0 * b - 3.0) / (3.0 - 2.0 * b)
 
 
-def gamma_abs_tail_bound(alpha: float, r_min: int) -> float:
-    """Upper bound on ``sum_{r > r_min} |Gamma_r|`` via integral comparison."""
-    if r_min < 2:
-        raise ValueError("tail bound requires r_min >= 2")
-    b = 1.0 - alpha / 2.0
-    c = 0.5 * b * (1.0 - b)
-    return c * (r_min - 1.0) ** (b - 1.0) / (1.0 - b)
-
-
 def gamma_series_tail(alpha: float, r_min: int) -> float:
     """Exact ``sum_{r > r_min} Gamma_r`` (telescoping limit), evaluated stably.
 

@@ -4,10 +4,10 @@ Given observations ``u(i delta_n, x_k)`` on a regular time grid, this module
 forms the panel of normalised increments ``(u(i delta) - u((i-1) delta)) / tau_n``
 and the cumulative variation functionals
 
-    ``V^n_f(t)_m = delta_n * sum_{i=1}^{t(n)} f_m(window_i)``
+    ``V^n_f(t)_m = delta_n * sum_{i=1}^{t(n)} f_m(z_i)``
 
-where a window stacks L consecutive increments at K spatial points and
-``t(n) = floor(t / delta_n) - L + 1``.  Panels and functionals also take a
+where ``z_i`` is the vector of the i-th increments at the K spatial points
+and ``t(n) = floor(t / delta_n)``.  Panels and functionals also take a
 replicate stack: a leading axis of independent paths.
 """
 
@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .gaussian_limits import EvaluationFunction
 from .kernels import NoiseParams, tau_n
@@ -25,12 +24,12 @@ from .kernels import NoiseParams, tau_n
 
 @dataclass(frozen=True)
 class SamplingDesign:
-    """Observation scheme: step, horizon, spatial points, lags, scheme knobs.
+    """Observation scheme: step, horizon, spatial points, scheme knobs.
 
     ``delta_n`` and ``horizon`` fix the time grid ``i * delta_n`` for
-    ``i = 0..floor(T/delta_n)``; ``points`` are the observed spatial
-    locations on the unit torus; ``n_lags`` is the window length L of the
-    variation functional.  ``spatial_modes`` and ``oversampling`` control the
+    ``i = 0..floor(T/delta_n)``, which must hold at least two increments;
+    ``points`` are the observed spatial locations on the unit torus.
+    ``spatial_modes`` and ``oversampling`` control the
     spectral simulation scheme (constant sigma ignores ``oversampling``: it
     takes one exact step per observation); ``burn_in`` (observation steps
     discarded before statistics) defaults to
@@ -40,7 +39,6 @@ class SamplingDesign:
     delta_n: float
     horizon: float
     points: tuple = (0.0,)
-    n_lags: int = 1
     spatial_modes: int = 2 ** 14
     oversampling: int = 16
     burn_in: int | None = None
@@ -48,10 +46,8 @@ class SamplingDesign:
     def __post_init__(self):
         if self.delta_n <= 0:
             raise ValueError("delta_n must be positive")
-        if self.horizon < self.delta_n * (self.n_lags + 1):
-            raise ValueError("horizon too short for the requested lag count")
-        if self.n_lags < 1:
-            raise ValueError("need at least one lag")
+        if self.horizon < 2 * self.delta_n:
+            raise ValueError("horizon must span at least two observation steps")
         pts = tuple(float(x) for x in self.points)
         if len(set(pts)) != len(pts) or not pts:
             raise ValueError("observation points must be distinct and nonempty")
@@ -106,14 +102,6 @@ class IncrementPanel:
     def n_points(self) -> int:
         return self.values.shape[-1]
 
-    def windows(self, n_lags: int) -> np.ndarray:
-        """Sliding windows of L consecutive increments, shape (..., n_win, K, L)."""
-        if n_lags > self.n_steps:
-            raise ValueError("panel too short for the requested lag count")
-        # window i holds increments i..i+L-1 for every spatial point; the
-        # window axis is appended last, giving (..., n_win, K, L) directly
-        return sliding_window_view(self.values, n_lags, axis=-2)
-
 
 def extract_increments(values, design: SamplingDesign, alpha: float,
                        tau: float | None = None) -> IncrementPanel:
@@ -142,9 +130,9 @@ def variation_functional(f: EvaluationFunction, incr: IncrementPanel,
     """Cumulative variation functional on ``t_grid``; shape (..., len(t_grid), M).
 
     The leading axes are those of a replicate stack (none for one panel).
-    Entries with ``t(n) < 1`` (grid times too small to fit one window) are 0.
-    Each grid time is one pairwise ``np.sum`` over its windows, so the cost
-    is O(n_win * len(t_grid)); callers pass a handful of grid times.
+    Entries with ``t(n) < 1`` (grid times before the first increment) are 0.
+    Each grid time is one pairwise ``np.sum`` over its increments, so the
+    cost is O(n * len(t_grid)); callers pass a handful of grid times.
     """
     if incr.n_points != f.n_points:
         raise ValueError("increment panel and evaluation function disagree on K")
@@ -153,14 +141,12 @@ def variation_functional(f: EvaluationFunction, incr: IncrementPanel,
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if np.any(t_grid > design.horizon + 1e-12):
         raise ValueError("t_grid exceeds the design horizon")
-    wins = incr.windows(f.n_lags)
-    n_win = wins.shape[-3]
-    counts = np.floor(t_grid / incr.delta_n + 1e-9).astype(int) - f.n_lags + 1
-    counts = np.clip(counts, 0, n_win)
-    out = np.zeros(wins.shape[:-3] + (len(t_grid), f.n_outputs))
+    counts = np.floor(t_grid / incr.delta_n + 1e-9).astype(int)
+    counts = np.clip(counts, 0, incr.n_steps)
+    out = np.zeros(incr.values.shape[:-2] + (len(t_grid), f.n_outputs))
     # one component at a time: stacking the M columns would copy the panel
     for m, comp in enumerate(f.components):
-        vals = np.asarray(comp.evaluate(wins), dtype=float)  # (..., n_win)
+        vals = comp.evaluate(incr.values)  # (..., n)
         for g, count in enumerate(counts):
             if count > 0:
                 out[..., g, m] = incr.delta_n * np.sum(vals[..., :count], axis=-1)

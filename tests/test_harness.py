@@ -141,6 +141,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="model.dim"):
             default_config("clt").replace(**{"driver": "spde", "model.dim": 2})
 
+    def test_no_replicates_rejected(self):
+        with pytest.raises(ConfigError, match="replicates"):
+            default_config("clt").replace(replicates=0)
+
+    def test_negative_threads_rejected(self):
+        with pytest.raises(ConfigError, match="threads"):
+            default_config("clt").replace(threads=-1)
+
 
 class TestKolmogorovSmirnov:
     """Statistic validated against brute force over the empirical CDF."""
@@ -504,6 +512,28 @@ class TestCli:
         p = tmp_path / "c.cfg"
         p.write_text("no_such_key = 1\n")
         assert cli_main(["clt", "--config", str(p)]) == 2
+
+    def test_bad_flag_value_exit_code(self, capsys):
+        assert cli_main(["clt", "--replicates", "0"]) == 2
+        assert cli_main(["clt", "--threads", "-2"]) == 2
+        err = capsys.readouterr().err
+        assert "replicates" in err and "threads" in err
+
+    def test_unverifiable_report_exit_code(self, tmp_path, capsys):
+        # a missing report, or one whose config no longer parses, is neither
+        # MATCH (0) nor MISMATCH (1)
+        missing = tmp_path / "missing.json"
+        assert cli_main(["clt", "--verify-report", str(missing)]) == 2
+        stale = tmp_path / "stale.json"
+        stale.write_text(json.dumps({
+            "kind": "clt", "config_text": "experiment = clt\nno_such_key = 1\n",
+            "config_hash": "", "seed": 1, "rows": [], "summary": {}, "passed": True}))
+        assert cli_main(["clt", "--verify-report", str(stale)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 2
+        assert "missing.json" in lines[0] and "no_such_key" in lines[1]
 
     def test_verify_flow(self, tmp_path, capsys):
         cli_main(["clt", "--seed", "99", "--replicates", "40",

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from shevar.gaussian_limits import AbsPower, EvaluationFunction, SignedMonomial
+from shevar.gaussian_limits import AbsPower, EvaluationFunction
 from shevar.kernels import NoiseParams, abs_moment, clt_constant, tau_n
 from shevar.simulate import RngStream, simulate_stationary_increments_batch
 from shevar.variations import (
@@ -33,7 +33,7 @@ class TestSamplingDesign:
         with pytest.raises(ValueError):
             SamplingDesign(delta_n=0.0, horizon=1.0)
         with pytest.raises(ValueError):
-            SamplingDesign(delta_n=0.5, horizon=0.6, n_lags=1)
+            SamplingDesign(delta_n=0.5, horizon=0.6)  # fewer than two steps
         with pytest.raises(ValueError):
             SamplingDesign(delta_n=0.01, horizon=1.0, points=(0.1, 0.1))
         with pytest.raises(ValueError):
@@ -111,37 +111,16 @@ class TestVariationFunctional:
             b = power_variation(p, panel, d, t)
             assert np.array_equal(a, b)
 
-    def test_signed_bipower_by_hand(self):
-        # K = 2 rows, L = 2 lags, 5 increments: brute-force the window sum
-        vals = np.array([
-            [0.6, -1.0],
-            [-0.3, 0.4],
-            [1.2, 0.9],
-            [-0.8, 0.1],
-            [0.5, -0.7],
-        ])
-        delta = 0.2
-        d = SamplingDesign(delta_n=delta, horizon=1.0, points=(0.0, 0.5), n_lags=2)
-        panel = toy_panel(vals, delta=delta)
-        f = EvaluationFunction(
-            [SignedMonomial((1, 1), k=0), SignedMonomial((1, 1), k=1)],
-            n_points=2, n_lags=2)
-        out = variation_functional(f, panel, d, [1.0])
-        # t(n) = floor(1/0.2) - 2 + 1 = 4 windows
-        brute0 = sum(vals[i, 0] * vals[i + 1, 0] for i in range(4)) * delta
-        brute1 = sum(vals[i, 1] * vals[i + 1, 1] for i in range(4)) * delta
-        assert out[0, 0] == pytest.approx(brute0, rel=1e-15)
-        assert out[0, 1] == pytest.approx(brute1, rel=1e-15)
-
     def test_window_count_convention(self):
-        # t(n) = floor(t / delta) - L + 1, zero when fewer than one window fits
-        d = SamplingDesign(delta_n=0.1, horizon=1.0, n_lags=3)
+        # t(n) = floor(t / delta), zero when no increment fits
+        d = SamplingDesign(delta_n=0.1, horizon=1.0)
         panel = toy_panel(np.ones(10), delta=0.1)
-        f = EvaluationFunction([AbsPower(2.0)], n_points=1, n_lags=3)
-        out = variation_functional(f, panel, d, [0.15, 0.3, 1.0])
-        assert out[0, 0] == 0.0            # floor(1.5) - 2 = -1 windows
-        assert out[1, 0] == pytest.approx(0.1)   # 1 window
-        assert out[2, 0] == pytest.approx(0.8)   # 8 windows
+        f = EvaluationFunction.abs_power(2.0)
+        out = variation_functional(f, panel, d, [0.05, 0.15, 0.3, 1.0])
+        assert out[0, 0] == 0.0            # floor(0.5) = 0 increments
+        assert out[1, 0] == pytest.approx(0.1)   # 1 increment
+        assert out[2, 0] == pytest.approx(0.3)   # 3 increments
+        assert out[3, 0] == pytest.approx(1.0)   # 10 increments
 
     def test_even_function_sign_invariance(self):
         rng = np.random.default_rng(5)
@@ -186,22 +165,21 @@ class TestVariationFunctional:
 
     def test_replicate_stack_matches_rows(self):
         rng = np.random.default_rng(12)
-        d = SamplingDesign(delta_n=0.01, horizon=1.0, points=(0.0, 0.5), n_lags=2)
+        d = SamplingDesign(delta_n=0.01, horizon=1.0, points=(0.0, 0.5))
         vals = rng.standard_normal((5, 100, 2))
         f = EvaluationFunction(
-            [AbsPower(1.5, k=0, l=1), SignedMonomial((1, 1), k=1), AbsPower(2.0, k=1)],
-            n_points=2, n_lags=2)
+            [AbsPower(1.5, k=0), AbsPower(1.0, k=1), AbsPower(2.0, k=1)], n_points=2)
         t = [0.005, 0.37, 0.5, 1.0]
         stack = variation_functional(f, toy_panel(vals, delta=0.01), d, t)
         assert stack.shape == (5, 4, 3)
         for i in range(5):
             row = variation_functional(f, toy_panel(vals[i], delta=0.01), d, t)
             assert np.array_equal(stack[i], row)
-        assert np.all(stack[:, 0] == 0.0)  # no window fits before t = 2 delta
+        assert np.all(stack[:, 0] == 0.0)  # no increment fits before t = delta
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
     def test_equals_one_pairwise_sum(self, p):
-        # V^n_f(t) is delta * np.sum of f over the first t(n) windows, to the
+        # V^n_f(t) is delta * np.sum of f over the first t(n) increments, to the
         # bit: the harness and the estimators have always summed that way
         n, horizon = 1000, 1.7
         delta = horizon / n
